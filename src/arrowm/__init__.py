@@ -13,7 +13,6 @@ wave-packet scenarios exercised by the ``arrow-m`` command.
 
 from .dynamics import MONOTONE_TOL, Trajectory, evolve, expectation_m, trajectory
 from .freeparticle import (
-    CHANNELS,
     GaussianPacketParams,
     momentum_wavefunction,
     packet_tail_mass,
@@ -23,6 +22,7 @@ from .freeparticle import (
     to_energy_state,
 )
 from .grid import (
+    CHANNELS,
     EnergyState,
     LogEnergyGrid,
     inner_product,
@@ -31,14 +31,11 @@ from .grid import (
     normalize_state,
     random_smooth_state,
     state_norm,
-    zero_state,
 )
 from .mellin import (
-    EigenvalueCoordinate,
     MellinSpectrum,
     apply_m_fast,
     completeness_kernel_check,
-    completeness_kernel_quadrature,
     eigen_density,
     eigen_density_moments,
     eigenvalue_of_frequency,
@@ -46,9 +43,9 @@ from .mellin import (
     frequency_grid,
     frequency_jacobian,
     frequency_of_eigenvalue,
-    gaussian_window,
     inverse_mellin,
     sample_eigenfunction,
+    spectral_weight,
     tukey_window,
     windowed_eigenfunction,
 )
@@ -56,9 +53,7 @@ from .operator import (
     DenseOperator,
     apply_m_direct,
     build_dense_m,
-    cauchy_kernel,
     dense_spectrum,
-    pv_cauchy_quadrature,
     subtraction_selfterm,
 )
 
@@ -67,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CHANNELS",
     "DenseOperator",
-    "EigenvalueCoordinate",
     "EnergyState",
     "GaussianPacketParams",
     "LogEnergyGrid",
@@ -77,9 +71,7 @@ __all__ = [
     "apply_m_direct",
     "apply_m_fast",
     "build_dense_m",
-    "cauchy_kernel",
     "completeness_kernel_check",
-    "completeness_kernel_quadrature",
     "dense_spectrum",
     "eigen_density",
     "eigen_density_moments",
@@ -90,7 +82,6 @@ __all__ = [
     "frequency_grid",
     "frequency_jacobian",
     "frequency_of_eigenvalue",
-    "gaussian_window",
     "inner_product",
     "inverse_mellin",
     "make_log_grid",
@@ -101,14 +92,13 @@ __all__ = [
     "position_density",
     "position_spread",
     "position_wavefunction",
-    "pv_cauchy_quadrature",
     "random_smooth_state",
     "sample_eigenfunction",
+    "spectral_weight",
     "state_norm",
     "subtraction_selfterm",
     "to_energy_state",
     "trajectory",
     "tukey_window",
     "windowed_eigenfunction",
-    "zero_state",
 ]

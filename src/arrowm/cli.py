@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +42,14 @@ from .mellin import (
     frequency_jacobian,
     frequency_of_eigenvalue,
     inverse_mellin,
+    spectral_weight,
     tukey_window,
     windowed_eigenfunction,
 )
 from .operator import apply_m_direct, build_dense_m, dense_spectrum
 from .svgplot import write_line_plot
 
-__all__ = ["ScenarioError", "ScenarioConfig", "parse_config_text", "run_scenario", "main"]
+__all__ = ["ScenarioError", "parse_config_text", "run_scenario", "main"]
 
 
 class ScenarioError(Exception):
@@ -144,16 +144,6 @@ DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated flat configuration (dotted keys)."""
-
-    values: dict
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-
 def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines; unknown keys and bad values carry line numbers."""
     out = {}
@@ -175,7 +165,8 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def load_config(subcommand: str, config_path=None, overrides=None) -> ScenarioConfig:
+def load_config(subcommand: str, config_path=None, overrides=None) -> dict:
+    """Flat configuration (dotted keys): defaults, then the file, then ``overrides``."""
     values = dict(_COMMON)
     values.update(DEFAULTS[subcommand])
     if config_path is not None:
@@ -189,7 +180,7 @@ def load_config(subcommand: str, config_path=None, overrides=None) -> ScenarioCo
         raise ScenarioError(
             f"grid.n = {values['grid.n']} must be a power of two when the fast path is used"
         )
-    return ScenarioConfig(values=values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +212,7 @@ def write_summary(path: Path, mapping: dict) -> None:
         raise ScenarioError(f"cannot write {path}: {exc}") from exc
 
 
-def _prepare_outdir(cfg: ScenarioConfig) -> Path:
+def _prepare_outdir(cfg: dict) -> Path:
     out = Path(cfg["output.dir"])
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -237,14 +228,14 @@ def _prepare_outdir(cfg: ScenarioConfig) -> Path:
 # scenario building blocks
 
 
-def build_scenario_grid(cfg: ScenarioConfig):
+def build_scenario_grid(cfg: dict):
     try:
         return make_log_grid(cfg["grid.e_min"], cfg["grid.e_max"], cfg["grid.n"])
     except ValueError as exc:
         raise ScenarioError(f"bad grid configuration: {exc}") from exc
 
 
-def build_scenario_state(cfg: ScenarioConfig, grid):
+def build_scenario_state(cfg: dict, grid):
     if cfg["state.kind"] == "gaussian":
         params = GaussianPacketParams(cfg["state.eta"], cfg["state.p0"], cfg["state.xi0"])
         try:
@@ -263,28 +254,27 @@ def build_scenario_state(cfg: ScenarioConfig, grid):
     return normalize_state(state)
 
 
-def _scenario_times(cfg: ScenarioConfig) -> np.ndarray:
+def _scenario_times(cfg: dict) -> np.ndarray:
     t0, t1, steps = cfg["times.t_start"], cfg["times.t_end"], cfg["times.steps"]
     if steps < 2 or t1 <= t0:
         raise ScenarioError("times require t_end > t_start and steps >= 2")
     return np.linspace(t0, t1, steps)
 
 
-def eigen_density_frame(state, points: int = 801, neg_span: float = 5.5, cap: float = 100.0):
+def eigen_density_frame(state, points: int = 801):
     """(m, rho, covered_mass) on a frequency-uniform m grid.
 
     The negative-frequency edge is pinned at -5.5 because eigenvalues closer
     to 1 than about 1e-15 are not representable in double precision; the
-    positive edge adapts so the discrete mass beyond it is below 1e-8.
+    positive edge adapts so the discrete mass beyond it is below 1e-8, and
+    stays within [12, 100].
     """
     spec = forward_mellin(state)
-    dnu = 2.0 * np.pi / (state.grid.n * state.grid.du)
-    dens = np.sum(np.abs(spec.coefficients) ** 2, axis=0) * dnu
-    tail = np.cumsum(dens[::-1])[::-1]
+    tail = np.cumsum(spectral_weight(spec)[::-1])[::-1]
     beyond = np.nonzero(tail < 1e-8)[0]
     span_pos = spec.frequencies[beyond[0]] if beyond.size else spec.frequencies[-1]
-    span_pos = float(np.clip(span_pos + 2.0, 12.0, cap))
-    nu = np.linspace(-neg_span, span_pos, points)
+    span_pos = float(np.clip(span_pos + 2.0, 12.0, 100.0))
+    nu = np.linspace(-5.5, span_pos, points)
     m = eigenvalue_of_frequency(nu)
     rho = eigen_density(state, m)
     covered = float(np.trapezoid(np.sum(rho, axis=0) * frequency_jacobian(m), nu))
@@ -295,7 +285,7 @@ def eigen_density_frame(state, points: int = 801, neg_span: float = 5.5, cap: fl
 # subcommand runners
 
 
-def run_spectrum(cfg: ScenarioConfig) -> dict:
+def run_spectrum(cfg: dict) -> dict:
     out = _prepare_outdir(cfg)
     t0 = time.perf_counter()
     grid = build_scenario_grid(cfg)
@@ -325,7 +315,7 @@ def run_spectrum(cfg: ScenarioConfig) -> dict:
     return summary
 
 
-def run_trajectory_scenario(cfg: ScenarioConfig, name: str) -> dict:
+def run_trajectory_scenario(cfg: dict, name: str) -> dict:
     out = _prepare_outdir(cfg)
     t0 = time.perf_counter()
     grid = build_scenario_grid(cfg)
@@ -381,7 +371,7 @@ def _density_svg(path, m, rho, title):
                     title=title, xlabel="m (bulk window)", ylabel="rho(m)")
 
 
-def run_eigden(cfg: ScenarioConfig) -> dict:
+def run_eigden(cfg: dict) -> dict:
     out = _prepare_outdir(cfg)
     grid = build_scenario_grid(cfg)
     state = build_scenario_state(cfg, grid)
@@ -409,7 +399,7 @@ def run_eigden(cfg: ScenarioConfig) -> dict:
     return summary
 
 
-def run_fig2(cfg: ScenarioConfig) -> dict:
+def run_fig2(cfg: dict) -> dict:
     if cfg["state.kind"] != "gaussian":
         raise ScenarioError("fig2 frames need a gaussian packet state")
     out = _prepare_outdir(cfg)
@@ -430,8 +420,8 @@ def run_fig2(cfg: ScenarioConfig) -> dict:
         dens = position_density(params, x, t)
         write_csv(out / f"position_density_{k:02d}.csv", ("coordinate", "density"),
                   zip(x, dens))
-        m, rho, covered = eigen_density_frame(evolve(state, t),
-                                              points=cfg["frames.density_points"])
+        evolved = evolve(state, t)
+        m, rho, covered = eigen_density_frame(evolved, points=cfg["frames.density_points"])
         write_csv(out / f"eigen_density_{k:02d}.csv", ("m", "rho_plus", "rho_minus"),
                   zip(m, rho[0], rho[1]))
         if cfg["output.svg"]:
@@ -446,7 +436,7 @@ def run_fig2(cfg: ScenarioConfig) -> dict:
         summary[f"frame_{k:02d}_position_mass"] = mass_x
         summary[f"frame_{k:02d}_position_variance"] = var_x
         summary[f"frame_{k:02d}_density_covered_mass"] = covered
-        summary[f"frame_{k:02d}_expectation_m"] = expectation_m(evolve(state, t))
+        summary[f"frame_{k:02d}_expectation_m"] = expectation_m(evolved)
     summary["timing_frames_s"] = time.perf_counter() - t0
     write_summary(out / "summary.txt", summary)
     return summary
@@ -456,7 +446,7 @@ def run_fig2(cfg: ScenarioConfig) -> dict:
 # verify
 
 
-def _verify_checks(cfg: ScenarioConfig):
+def _verify_checks(cfg: dict):
     rng = np.random.default_rng(cfg["verify.seed"])
     checks = []
 
@@ -477,9 +467,8 @@ def _verify_checks(cfg: ScenarioConfig):
     record("transform_roundtrip",
            state_norm(make_state(wide, f.channels, back.amplitudes - f.amplitudes))
            / state_norm(f), 1e-12)
-    dnu = 2.0 * np.pi / (wide.n * wide.du)
     record("parseval_relerr",
-           abs(dnu * float(np.sum(np.abs(spec.coefficients) ** 2)) - state_norm(f) ** 2), 1e-8)
+           abs(float(np.sum(spectral_weight(spec))) - state_norm(f) ** 2), 1e-8)
 
     # strict bounds checkable while 1 - m is representable: |nu| <= ~5.7
     nus = np.linspace(-5.5, 30, 601)
@@ -559,7 +548,7 @@ def _verify_checks(cfg: ScenarioConfig):
     return checks
 
 
-def run_verify(cfg: ScenarioConfig) -> dict:
+def run_verify(cfg: dict) -> dict:
     out = _prepare_outdir(cfg)
     t0 = time.perf_counter()
     checks = _verify_checks(cfg)
@@ -591,7 +580,7 @@ RUNNERS = {
 }
 
 
-def run_scenario(subcommand: str, cfg: ScenarioConfig) -> dict:
+def run_scenario(subcommand: str, cfg: dict) -> dict:
     return RUNNERS[subcommand](cfg)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import EnergyState, inner_product, make_state, state_norm
-from .mellin import eigenvalue_of_frequency, forward_mellin
+from .mellin import eigenvalue_of_frequency, forward_mellin, spectral_weight
 from .operator import DenseOperator, apply_m_direct, build_dense_m
 
 __all__ = ["Trajectory", "evolve", "expectation_m", "trajectory", "MONOTONE_TOL"]
@@ -46,7 +46,7 @@ def expectation_m(
         raise ValueError("expectation of the zero state is undefined")
     if path == "fast":
         spec = forward_mellin(state)
-        weight = np.sum(np.abs(spec.coefficients) ** 2, axis=0)
+        weight = spectral_weight(spec)
         return float(
             np.sum(eigenvalue_of_frequency(spec.frequencies) * weight) / np.sum(weight)
         )
@@ -90,7 +90,6 @@ def trajectory(
     times,
     path: str = "fast",
     operator: DenseOperator | None = None,
-    tol: float = MONOTONE_TOL,
 ) -> Trajectory:
     """Evaluate the expectation along {U(t) psi : t in times}.
 
@@ -112,6 +111,6 @@ def trajectory(
     violations = [
         (float(t[k]), float(t[k + 1]), float(d))
         for k, d in enumerate(np.diff(values))
-        if d > tol
+        if d > MONOTONE_TOL
     ]
     return Trajectory(times=t, values=values, path=path, monotone_violations=violations)

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .grid import EnergyState, LogEnergyGrid, make_state
+from .grid import CHANNELS, EnergyState, LogEnergyGrid, make_state
 
 __all__ = [
     "GaussianPacketParams",
-    "CHANNELS",
     "position_wavefunction",
     "position_density",
     "position_spread",
@@ -35,8 +34,6 @@ __all__ = [
     "to_energy_state",
     "packet_tail_mass",
 ]
-
-CHANNELS = ("+", "-")
 
 
 @dataclass(frozen=True)

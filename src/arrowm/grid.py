@@ -12,21 +12,24 @@ free particle on a line: the sign of the momentum).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "CHANNELS",
     "LogEnergyGrid",
     "EnergyState",
     "make_log_grid",
     "make_state",
-    "zero_state",
     "inner_product",
     "state_norm",
     "normalize_state",
     "random_smooth_state",
 ]
+
+# Channel labels of the free particle: the sign of the momentum.
+CHANNELS = ("+", "-")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -36,14 +39,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogEnergyGrid:
-    """Truncated energy half-line, uniform in u = ln E.
+    """Truncated energy half-line [e_min, e_max], n points uniform in u = ln E.
+
+    Grids compare and hash by (e_min, e_max, n); every array derives from
+    these three.  Raises ValueError on non-positive e_min, e_max <= e_min,
+    or n that is not a whole number of at least 2.
 
     Attributes
     ----------
     points : ndarray
         E_i = exp(u_i), strictly increasing, all positive.
     log_points : ndarray
-        u_i = ln(e_min) + i*du.
+        u_i = ln(e_min) + i*du, with du = ln(e_max/e_min)/(n - 1).
     weights : ndarray
         Trapezoidal weights for integrals dE: w_i = E_i*du in the interior,
         halved at the two endpoints.
@@ -52,10 +59,34 @@ class LogEnergyGrid:
     e_min: float
     e_max: float
     n: int
-    points: np.ndarray
-    log_points: np.ndarray
-    weights: np.ndarray
-    du: float
+    points: np.ndarray = field(init=False, compare=False, repr=False)
+    log_points: np.ndarray = field(init=False, compare=False, repr=False)
+    weights: np.ndarray = field(init=False, compare=False, repr=False)
+    du: float = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        e_min, e_max, n = self.e_min, self.e_max, self.n
+        if not (e_min > 0.0):
+            raise ValueError(f"e_min must be positive, got {e_min}")
+        if not (e_max > e_min):
+            raise ValueError(f"e_max must exceed e_min, got [{e_min}, {e_max}]")
+        if n < 2 or n != int(n):
+            raise ValueError(f"need a whole number of at least 2 grid points, got {n}")
+        n = int(n)
+        u0 = np.log(e_min)
+        du = (np.log(e_max) - u0) / (n - 1)
+        u = u0 + du * np.arange(n)
+        points = np.exp(u)
+        weights = points * du
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+        derived = {
+            "e_min": float(e_min), "e_max": float(e_max), "n": n,
+            "points": _readonly(points), "log_points": _readonly(u),
+            "weights": _readonly(weights), "du": float(du),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def span(self) -> float:
@@ -67,46 +98,10 @@ class LogEnergyGrid:
         """Midpoint of the grid in u = ln E."""
         return 0.5 * (self.log_points[0] + self.log_points[-1])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogEnergyGrid):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.e_min == other.e_min
-            and self.e_max == other.e_max
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.e_min, self.e_max, self.n))
-
 
 def make_log_grid(e_min: float, e_max: float, n: int) -> LogEnergyGrid:
-    """Build a log-uniform grid on [e_min, e_max] with n points.
-
-    Raises ValueError on non-positive e_min, e_max <= e_min, or n < 2.
-    """
-    if not (e_min > 0.0):
-        raise ValueError(f"e_min must be positive, got {e_min}")
-    if not (e_max > e_min):
-        raise ValueError(f"e_max must exceed e_min, got [{e_min}, {e_max}]")
-    if n < 2:
-        raise ValueError(f"need at least 2 grid points, got {n}")
-    u0 = np.log(e_min)
-    du = (np.log(e_max) - u0) / (n - 1)
-    u = u0 + du * np.arange(n)
-    points = np.exp(u)
-    weights = points * du
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return LogEnergyGrid(
-        e_min=float(e_min),
-        e_max=float(e_max),
-        n=int(n),
-        points=_readonly(points),
-        log_points=_readonly(u),
-        weights=_readonly(weights),
-        du=float(du),
-    )
+    """Build a log-uniform grid on [e_min, e_max] with n points."""
+    return LogEnergyGrid(e_min, e_max, n)
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,7 @@ def make_state(grid: LogEnergyGrid, channels, amplitudes) -> EnergyState:
     return EnergyState(grid=grid, channels=channels, amplitudes=_readonly(amps.copy()))
 
 
-def zero_state(grid: LogEnergyGrid, channels=("+", "-")) -> EnergyState:
+def zero_state(grid: LogEnergyGrid, channels=CHANNELS) -> EnergyState:
     return make_state(grid, channels, np.zeros((len(channels), grid.n), dtype=complex))
 
 
@@ -175,13 +170,11 @@ def normalize_state(state: EnergyState) -> EnergyState:
 def random_smooth_state(
     grid: LogEnergyGrid,
     rng: np.random.Generator,
-    channels=("+", "-"),
-    bumps: int = 3,
     center_fraction: float = 0.12,
     sigma_range=(0.5, 0.9),
     freq_max: float = 2.5,
 ) -> EnergyState:
-    """Normalized random state built from Gaussian bumps in u = ln E.
+    """Normalized random state: in each channel, three Gaussian bumps in u = ln E.
 
     Bumps are placed within ``center_fraction`` of the grid span around the
     grid center and carry random chirp frequencies up to ``freq_max``, so the
@@ -192,10 +185,10 @@ def random_smooth_state(
     u = grid.log_points
     uc = grid.center
     half = center_fraction * grid.span
-    amps = np.zeros((len(channels), grid.n), dtype=complex)
-    for k in range(len(channels)):
+    amps = np.zeros((len(CHANNELS), grid.n), dtype=complex)
+    for k in range(len(CHANNELS)):
         F = np.zeros(grid.n, dtype=complex)
-        for _ in range(bumps):
+        for _ in range(3):
             mu = uc + rng.uniform(-half, half)
             sig = rng.uniform(*sigma_range)
             b = rng.uniform(-freq_max, freq_max)
@@ -203,4 +196,4 @@ def random_smooth_state(
             amp = rng.uniform(0.3, 1.0)
             F += amp * np.exp(-((u - mu) ** 2) / (2.0 * sig**2) + 1j * (b * u + phase))
         amps[k] = np.exp(-0.5 * u) * F
-    return normalize_state(make_state(grid, channels, amps))
+    return normalize_state(make_state(grid, CHANNELS, amps))

@@ -25,34 +25,31 @@ to pi / sin) and compares it against the raw Cauchy kernel as theta -> 0+.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit, logit
 
-from .grid import EnergyState, LogEnergyGrid, make_state
+from .grid import CHANNELS, EnergyState, LogEnergyGrid, _readonly, make_state
 
 __all__ = [
     "MellinSpectrum",
-    "EigenvalueCoordinate",
     "eigenvalue_of_frequency",
     "frequency_of_eigenvalue",
     "frequency_jacobian",
     "frequency_grid",
     "forward_mellin",
     "inverse_mellin",
+    "spectral_weight",
     "apply_m_fast",
     "eigen_density",
     "eigen_density_moments",
     "sample_eigenfunction",
     "windowed_eigenfunction",
     "tukey_window",
-    "gaussian_window",
     "completeness_kernel_check",
-    "completeness_kernel_quadrature",
 ]
-
-_UNIFORM_RTOL = 1e-9
 
 
 def eigenvalue_of_frequency(nu):
@@ -74,64 +71,56 @@ def frequency_jacobian(m):
     return 2.0 * np.pi * m * (1.0 - m)
 
 
-@dataclass(frozen=True)
-class EigenvalueCoordinate:
-    """An eigenvalue m in (0, 1) with its frequency and change-of-variable factor."""
-
-    m: float
-    nu: float
-    jacobian: float
-
-    @classmethod
-    def from_eigenvalue(cls, m: float) -> "EigenvalueCoordinate":
-        nu = float(frequency_of_eigenvalue(m))
-        return cls(m=float(m), nu=nu, jacobian=float(frequency_jacobian(m)))
-
-    @classmethod
-    def from_frequency(cls, nu: float) -> "EigenvalueCoordinate":
-        m = float(eigenvalue_of_frequency(nu))
-        return cls(m=m, nu=float(nu), jacobian=float(frequency_jacobian(m)))
-
-
-@dataclass(frozen=True)
-class MellinSpectrum:
-    """Per-channel coefficients chat_lambda(nu_k) on the uniform frequency grid."""
-
-    grid: LogEnergyGrid
-    channels: tuple
-    frequencies: np.ndarray  # ascending, spacing 2 pi / (n du)
-    coefficients: np.ndarray  # shape (n_channels, n)
-
-
-def _require_log_uniform(grid: LogEnergyGrid) -> None:
-    spacing = np.diff(grid.log_points)
-    if np.max(np.abs(spacing - grid.du)) > _UNIFORM_RTOL * grid.du:
-        raise ValueError("grid is not log-uniform; the fast path needs uniform u = ln E")
+@lru_cache(maxsize=16)
+def _fft_frequencies(grid: LogEnergyGrid) -> np.ndarray:
+    """Frequencies nu_k in FFT order, computed once per grid."""
+    return _readonly(2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.du))
 
 
 def frequency_grid(grid: LogEnergyGrid) -> np.ndarray:
     """Ascending frequencies nu_k on [-nu_max, nu_max), spacing 2 pi/(n du)."""
-    return np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.du))
+    return np.fft.fftshift(_fft_frequencies(grid))
+
+
+@dataclass(frozen=True)
+class MellinSpectrum:
+    """Per-channel coefficients chat_lambda(nu_k) on the grid's frequency lattice."""
+
+    grid: LogEnergyGrid
+    channels: tuple
+    coefficients: np.ndarray  # shape (n_channels, n), ascending frequency
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """Ascending nu_k of :func:`frequency_grid`."""
+        return frequency_grid(self.grid)
+
+    @property
+    def dnu(self) -> float:
+        """Spacing of the frequency lattice."""
+        return 2.0 * np.pi / (self.grid.n * self.grid.du)
+
+
+def spectral_weight(spec: MellinSpectrum) -> np.ndarray:
+    """|chat(nu_k)|^2 dnu summed over channels: the state's mass at each frequency."""
+    return np.sum(np.abs(spec.coefficients) ** 2, axis=0) * spec.dnu
 
 
 def forward_mellin(state: EnergyState) -> MellinSpectrum:
     """Coefficients chat(nu_k) = (2 pi)^{-1/2} sum_i du e^{i nu u_i} e^{u_i/2} f(E_i)."""
     grid = state.grid
-    _require_log_uniform(grid)
     u = grid.log_points
     F = np.exp(0.5 * u) * state.amplitudes
-    nu_fft = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.du)
     chat = (
         (2.0 * np.pi) ** -0.5
         * grid.du
-        * np.exp(1j * nu_fft * u[0])
+        * np.exp(1j * _fft_frequencies(grid) * u[0])
         * grid.n
         * np.fft.ifft(F, axis=-1)
     )
     return MellinSpectrum(
         grid=grid,
         channels=state.channels,
-        frequencies=np.fft.fftshift(nu_fft),
         coefficients=np.fft.fftshift(chat, axes=-1),
     )
 
@@ -139,18 +128,11 @@ def forward_mellin(state: EnergyState) -> MellinSpectrum:
 def inverse_mellin(spec: MellinSpectrum) -> EnergyState:
     """Exact inverse of :func:`forward_mellin` (plain FFT pair, roundoff only)."""
     grid = spec.grid
-    _require_log_uniform(grid)
-    n = grid.n
-    expected = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=grid.du))
-    if spec.frequencies.shape != (n,) or not np.allclose(
-        spec.frequencies, expected, rtol=0.0, atol=1e-9 * (expected[1] - expected[0])
-    ):
-        raise ValueError("frequency grid incompatible with the target energy grid")
     u = grid.log_points
-    dnu = 2.0 * np.pi / (n * grid.du)
-    nu_fft = np.fft.ifftshift(spec.frequencies)
     chat = np.fft.ifftshift(spec.coefficients, axes=-1)
-    F = (2.0 * np.pi) ** -0.5 * dnu * np.fft.fft(chat * np.exp(-1j * nu_fft * u[0]), axis=-1)
+    F = (2.0 * np.pi) ** -0.5 * spec.dnu * np.fft.fft(
+        chat * np.exp(-1j * _fft_frequencies(grid) * u[0]), axis=-1
+    )
     return make_state(grid, spec.channels, np.exp(-0.5 * u) * F)
 
 
@@ -158,14 +140,7 @@ def apply_m_fast(state: EnergyState) -> EnergyState:
     """Apply the operator as multiplication by m(nu) in coefficient space."""
     spec = forward_mellin(state)
     scaled = spec.coefficients * eigenvalue_of_frequency(spec.frequencies)
-    return inverse_mellin(
-        MellinSpectrum(
-            grid=spec.grid,
-            channels=spec.channels,
-            frequencies=spec.frequencies,
-            coefficients=scaled,
-        )
-    )
+    return inverse_mellin(MellinSpectrum(spec.grid, spec.channels, scaled))
 
 
 def eigen_density(state: EnergyState, m_grid) -> np.ndarray:
@@ -178,7 +153,6 @@ def eigen_density(state: EnergyState, m_grid) -> np.ndarray:
     m_grid = np.atleast_1d(np.asarray(m_grid, dtype=float))
     nu = frequency_of_eigenvalue(m_grid)  # validates (0, 1)
     grid = state.grid
-    _require_log_uniform(grid)
     u = grid.log_points
     F = np.exp(0.5 * u) * state.amplitudes
     jac = frequency_jacobian(m_grid)
@@ -201,28 +175,24 @@ def eigen_density_moments(state: EnergyState) -> tuple[float, float]:
     discrete coefficient grid.
     """
     spec = forward_mellin(state)
-    dnu = 2.0 * np.pi / (state.grid.n * state.grid.du)
-    weight = np.sum(np.abs(spec.coefficients) ** 2, axis=0)
-    mass = float(np.sum(dnu * weight))
-    first = float(np.sum(dnu * eigenvalue_of_frequency(spec.frequencies) * weight))
-    return mass, first
+    weight = spectral_weight(spec)
+    first = np.sum(eigenvalue_of_frequency(spec.frequencies) * weight)
+    return float(np.sum(weight)), float(first)
 
 
-def sample_eigenfunction(
-    m: float, channel: str, grid: LogEnergyGrid, channels=("+", "-")
-) -> EnergyState:
+def sample_eigenfunction(m: float, channel: str, grid: LogEnergyGrid) -> EnergyState:
     """Pointwise samples of the generalized eigenfunction in one channel.
 
     g_m(E_i) = N_m E_i^{-1/2 - i nu(m)} with N_m = (2 pi sqrt(m(1-m)))^{-1};
-    zero in the other channels.  Not square integrable in the continuum, so
+    zero in the other channel.  Not square integrable in the continuum, so
     the result is returned unnormalized; window it before forming residuals.
     """
-    coord = EigenvalueCoordinate.from_eigenvalue(m)
-    norm = 1.0 / (2.0 * np.pi * np.sqrt(coord.m * (1.0 - coord.m)))
+    nu = float(frequency_of_eigenvalue(m))
+    norm = 1.0 / (2.0 * np.pi * np.sqrt(m * (1.0 - m)))
     u = grid.log_points
-    amps = np.zeros((len(channels), grid.n), dtype=complex)
-    amps[tuple(channels).index(channel)] = norm * np.exp((-0.5 - 1j * coord.nu) * u)
-    return make_state(grid, channels, amps)
+    amps = np.zeros((len(CHANNELS), grid.n), dtype=complex)
+    amps[CHANNELS.index(channel)] = norm * np.exp((-0.5 - 1j * nu) * u)
+    return make_state(grid, CHANNELS, amps)
 
 
 def tukey_window(
@@ -245,10 +215,10 @@ def gaussian_window(grid: LogEnergyGrid, sigma: float, center: float | None = No
 
 
 def windowed_eigenfunction(
-    grid: LogEnergyGrid, m: float, channel: str, window: np.ndarray, channels=("+", "-")
+    grid: LogEnergyGrid, m: float, channel: str, window: np.ndarray
 ) -> EnergyState:
     """Eigenfunction samples multiplied by a window array in u."""
-    g = sample_eigenfunction(m, channel, grid, channels=channels)
+    g = sample_eigenfunction(m, channel, grid)
     return make_state(grid, g.channels, g.amplitudes * window[None, :])
 
 

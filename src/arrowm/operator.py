@@ -45,11 +45,9 @@ from .grid import EnergyState, LogEnergyGrid, make_state
 
 __all__ = [
     "DenseOperator",
-    "cauchy_kernel",
     "build_dense_m",
     "apply_m_direct",
     "dense_spectrum",
-    "pv_cauchy_quadrature",
     "subtraction_selfterm",
 ]
 
@@ -111,28 +109,35 @@ def dense_spectrum(op: DenseOperator) -> np.ndarray:
         ) from exc
 
 
-def subtraction_selfterm(grid: LogEnergyGrid) -> np.ndarray:
-    """Residual L_i - S_i of the subtraction rule's principal-value self-term.
+def _endpoint_log_term(grid: LogEnergyGrid) -> np.ndarray:
+    """L_i = ln((E_i - e_min)/(e_max - E_i)), the PV of int dE'/(E_i - E') on the window.
 
-    L_i = ln((E_i - e_min)/(e_max - E_i)) is the exact truncated-interval
-    principal value of the bare Cauchy kernel and S_i its skip-diagonal
-    trapezoidal sum.  At the two endpoints the vanishing log argument is
-    clamped to half the adjacent grid interval.  The matrix omits the
-    corresponding purely imaginary diagonal term -(2 pi i)^{-1} (L_i - S_i);
-    adding it back reproduces the raw subtraction quadrature (see tests).
+    At the two endpoints the vanishing log argument is clamped to half the
+    adjacent grid interval.
     """
     E = grid.points
-    w = grid.weights
-    n = grid.n
     num = E - E[0]
     den = E[-1] - E
     num[0] = 0.5 * (E[1] - E[0])
     den[-1] = 0.5 * (E[-1] - E[-2])
-    L = np.log(num / den)
+    return np.log(num / den)
+
+
+def subtraction_selfterm(grid: LogEnergyGrid) -> np.ndarray:
+    """Residual L_i - S_i of the subtraction rule's principal-value self-term.
+
+    L_i = ln((E_i - e_min)/(e_max - E_i)) is the exact truncated-interval
+    principal value of the bare Cauchy kernel (endpoint-clamped) and S_i its
+    skip-diagonal trapezoidal sum.  The matrix omits the corresponding purely
+    imaginary diagonal term -(2 pi i)^{-1} (L_i - S_i); adding it back
+    reproduces the raw subtraction quadrature (see tests).
+    """
+    E = grid.points
+    w = grid.weights
     diff = E[:, None] - E[None, :]
     np.fill_diagonal(diff, 1.0)
-    S = np.sum(np.where(np.eye(n, dtype=bool), 0.0, w[None, :] / diff), axis=1)
-    return L - S
+    S = np.sum(np.where(np.eye(grid.n, dtype=bool), 0.0, w[None, :] / diff), axis=1)
+    return _endpoint_log_term(grid) - S
 
 
 def pv_cauchy_quadrature(grid: LogEnergyGrid, values: np.ndarray, rule: str) -> np.ndarray:
@@ -155,12 +160,7 @@ def pv_cauchy_quadrature(grid: LogEnergyGrid, values: np.ndarray, rule: str) -> 
             out[i] = 2.0 * np.sum(w[j] * f[j] / (E[i] - E[j]))
         return out
     # subtraction: regularize with the sampled value, add the analytic log term
-    # (endpoint log arguments clamped to half the adjacent interval)
-    num = E - E[0]
-    den = E[-1] - E
-    num[0] = 0.5 * (E[1] - E[0])
-    den[-1] = 0.5 * (E[-1] - E[-2])
-    logterm = np.log(num / den)
+    logterm = _endpoint_log_term(grid)
     for i in range(n):
         j = np.delete(np.arange(n), i)
         out[i] = np.sum(w[j] * (f[j] - f[i]) / (E[i] - E[j])) + f[i] * logterm[i]

@@ -6,7 +6,6 @@ from arrowm import (
     build_dense_m,
     evolve,
     expectation_m,
-    gaussian_window,
     make_log_grid,
     make_state,
     normalize_state,
@@ -15,8 +14,9 @@ from arrowm import (
     to_energy_state,
     trajectory,
     windowed_eigenfunction,
-    zero_state,
 )
+from arrowm.grid import zero_state
+from arrowm.mellin import gaussian_window
 
 FIG_PARAMS = GaussianPacketParams(eta=1.0, p0=0.64, xi0=0.3)
 

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from arrowm import (
+    LogEnergyGrid,
     inner_product,
     make_log_grid,
     make_state,
     normalize_state,
     random_smooth_state,
     state_norm,
-    zero_state,
 )
+from arrowm.grid import zero_state
 
 
 def test_two_point_grid_hits_endpoints():
@@ -64,11 +65,24 @@ def test_quadrature_convergence_order():
 
 
 @pytest.mark.parametrize(
-    "args", [(0.0, 1.0, 8), (-1.0, 1.0, 8), (1.0, 1.0, 8), (2.0, 1.0, 8), (1.0, 2.0, 1)]
+    "args",
+    [(0.0, 1.0, 8), (-1.0, 1.0, 8), (1.0, 1.0, 8), (2.0, 1.0, 8), (1.0, 2.0, 1), (1.0, 2.0, 2.5)],
 )
 def test_make_log_grid_domain_errors(args):
     with pytest.raises(ValueError):
         make_log_grid(*args)
+    with pytest.raises(ValueError):
+        LogEnergyGrid(*args)
+
+
+def test_grids_compare_and_hash_by_bounds_and_size():
+    a = make_log_grid(1e-3, 1e3, 64)
+    b = make_log_grid(1e-3, 1e3, 64)
+    assert a == b and hash(a) == hash(b)
+    assert a == LogEnergyGrid(1e-3, 1e3, 64)
+    assert a != make_log_grid(1e-3, 1e3, 65)
+    assert a != make_log_grid(1e-4, 1e3, 64)
+    assert a != make_log_grid(1e-3, 1e4, 64)
 
 
 def test_inner_product_of_normalized_state_is_one(rng):

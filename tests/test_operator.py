@@ -5,18 +5,17 @@ from arrowm import (
     apply_m_direct,
     apply_m_fast,
     build_dense_m,
-    cauchy_kernel,
     dense_spectrum,
     inner_product,
     make_log_grid,
     make_state,
-    pv_cauchy_quadrature,
     random_smooth_state,
     state_norm,
     subtraction_selfterm,
     windowed_eigenfunction,
-    zero_state,
 )
+from arrowm.grid import zero_state
+from arrowm.operator import cauchy_kernel, pv_cauchy_quadrature
 
 from conftest import interior_residual
 
