@@ -103,8 +103,9 @@ def test_spike_inverts_to_power_law_mode():
     assert np.max(np.abs(ratio - ratio[0])) <= 1e-12 * abs(ratio[0])
 
 
-def test_derived_arrays_cannot_be_supplied(rng, wide_grid):
-    # a crooked grid or a mismatched frequency lattice cannot be built at all
+def test_forward_rejects_non_uniform_grid():
+    # the grid arrays derive from (e_min, e_max, n), so a crooked grid cannot
+    # reach forward_mellin: supplying arrays fails and the derived grid is uniform
     g = make_log_grid(1e-2, 1e2, 32)
     pts = g.points.copy()
     pts[5] *= 1.01
@@ -113,6 +114,12 @@ def test_derived_arrays_cannot_be_supplied(rng, wide_grid):
             e_min=g.e_min, e_max=g.e_max, n=g.n,
             points=pts, log_points=np.log(pts), weights=g.weights, du=g.du,
         )
+    assert np.allclose(np.diff(g.log_points), g.du, rtol=1e-12, atol=0.0)
+
+
+def test_inverse_rejects_mismatched_frequencies(rng, wide_grid):
+    # the frequency lattice derives from the grid, so a spectrum cannot carry
+    # a mismatched one into inverse_mellin
     spec = forward_mellin(random_smooth_state(wide_grid, rng))
     with pytest.raises(TypeError):
         MellinSpectrum(
@@ -121,6 +128,7 @@ def test_derived_arrays_cannot_be_supplied(rng, wide_grid):
             frequencies=spec.frequencies * 1.5,
             coefficients=spec.coefficients,
         )
+    assert np.array_equal(np.sort(spec.frequencies), frequency_grid(wide_grid))
 
 
 # ---------------------------------------------------------------------------
