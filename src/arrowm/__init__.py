@@ -4,8 +4,9 @@ The package discretizes the positive, contractive operator obtained by
 compressing the upper-half-plane Hardy projection onto the half-line, whose
 expectation value decreases monotonically along every Schroedinger orbit
 generated by multiplication by the energy.  Two independent realizations are
-provided and cross-checked: a dense Hermitian matrix built from the singular
-Cauchy kernel, and an FFT-diagonalized path that multiplies power-law mode
+provided and cross-checked: a Hermitian quadrature of the singular Cauchy
+kernel (Toeplitz in u = ln E, applied by FFT convolution), and an
+FFT-diagonalized path that multiplies power-law mode
 coefficients by the closed-form eigenvalue m(nu) = (1 + e^{2 pi nu})^{-1}.
 On top of these sit trajectory diagnostics and the free-particle Gaussian
 wave-packet scenarios exercised by the ``arrow-m`` command.

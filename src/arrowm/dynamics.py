@@ -2,8 +2,8 @@
 
 Evolution is exact multiplication by e^{-i E_i t} (hbar = 1, time in inverse
 energy units), so any time is reachable in a single step.  The expectation of
-the time-ordering operator along an orbit is evaluated with either the dense
-matrix path or the fast diagonalized path, and trajectories record any
+the time-ordering operator along an orbit is evaluated with either the direct
+Cauchy-kernel path or the fast diagonalized path, and trajectories record any
 increase beyond the monotonicity tolerance.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import EnergyState, inner_product, make_state, state_norm
-from .mellin import eigenvalue_of_frequency, forward_mellin, spectral_weight
+from .mellin import eigen_density_moments
 from .operator import DenseOperator, apply_m_direct, build_dense_m
 
 __all__ = ["Trajectory", "evolve", "expectation_m", "trajectory", "MONOTONE_TOL"]
@@ -36,20 +36,18 @@ def expectation_m(
 
     The fast path evaluates the quadratic form in coefficient space, where it
     is a manifestly real weighted mean of the multiplier over |chat(nu)|^2
-    and therefore guaranteed to lie in (0, 1).  The direct path contracts the
-    dense matrix with the grid inner product and raises if an imaginary part
-    beyond 1e-10 appears (an asymmetry bug would surface here rather than be
-    hidden by symmetrization).  Raises on the zero state.
+    (the eigenvalue density's first moment over its mass) and therefore
+    guaranteed to lie in (0, 1).  The direct path contracts the sampled
+    Cauchy-kernel operator with the grid inner product and raises if an
+    imaginary part beyond 1e-10 appears (an asymmetry bug would surface here
+    rather than be hidden by symmetrization).  Raises on the zero state.
     """
     nrm2 = state_norm(state) ** 2
     if nrm2 == 0.0:
         raise ValueError("expectation of the zero state is undefined")
     if path == "fast":
-        spec = forward_mellin(state)
-        weight = spectral_weight(spec)
-        return float(
-            np.sum(eigenvalue_of_frequency(spec.frequencies) * weight) / np.sum(weight)
-        )
+        mass, first = eigen_density_moments(state)
+        return first / mass
     if path != "direct":
         raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
     if operator is None:

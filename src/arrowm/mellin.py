@@ -175,8 +175,12 @@ def eigen_density_moments(state: EnergyState) -> tuple[float, float]:
     discrete coefficient grid.
     """
     spec = forward_mellin(state)
-    weight = spectral_weight(spec)
-    first = np.sum(eigenvalue_of_frequency(spec.frequencies) * weight)
+    return _moments(spec.frequencies, spectral_weight(spec))
+
+
+def _moments(frequencies: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
+    """(sum of weight, sum of m(nu) * weight) for a :func:`spectral_weight` array."""
+    first = np.sum(eigenvalue_of_frequency(frequencies) * weight)
     return float(np.sum(weight)), float(first)
 
 

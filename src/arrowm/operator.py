@@ -1,47 +1,61 @@
-"""Dense realization of the half-line time-ordering operator.
+"""Direct realization of the half-line time-ordering operator.
 
 The operator acts on one channel as
 
     (M f)(E) = 1/2 f(E) - (2 pi i)^{-1} PV int_0^inf f(E') / (E - E') dE',
 
 the local half plus a principal-value Cauchy integral (the boundary split of
-the singular kernel -(2 pi i)^{-1} (E - E' + i0)^{-1}).  On the log grid the
-matrix is assembled in weighted coordinates v_i = sqrt(w_i) f(E_i) so that it
-is Hermitian and standard Hermitian eigensolvers apply.  Channels never mix;
-the matrix is applied channel by channel.
+the singular kernel -(2 pi i)^{-1} (E - E' + i0)^{-1}).  The direct route
+samples that kernel on the log grid, in weighted coordinates
+v_i = sqrt(w_i) f(E_i) where the matrix is Hermitian.  Channels never mix.
+
+On the log grid E_i = exp(u_0 + i du) the weighted kernel depends on i - j
+only:
+
+    sqrt(w_i w_j) (i/2 pi) / (E_i - E_j) = d_i d_j (i/2 pi) du / (2 sinh((i - j) du/2)),
+
+with d = (1/sqrt 2, 1, ..., 1, 1/sqrt 2) from the halved endpoint weights.
+So the matrix is D T D + I/2 with T Hermitian Toeplitz, and the operator
+keeps only T's first column and the FFT of its 2n circulant embedding
+(Strang 1986).  Applying it is one zero-padded FFT convolution, O(n log n)
+time and O(n) memory; the n x n array is built only on request
+(:attr:`DenseOperator.matrix`), for eigenvalues and Hermiticity checks.
 
 Two principal-value quadratures are provided, with different error profiles:
 
 ``parity``
     Skip-every-other-point rule: row i sums only columns j with i - j odd,
-    with doubled weights.  For smooth states resolved by the grid this rule is
-    spectrally accurate (it is the classical discrete Hilbert transform in
-    u = ln E), so it is the oracle used for cross-checks against the fast
-    diagonalized path.  Like any faithful finite section of the continuum
-    operator, its eigenvalues cluster at the spectrum endpoints 0 and 1.
+    with doubled weights (T zeroes the even offsets and doubles the odd
+    ones).  For smooth states resolved by the grid this rule is spectrally
+    accurate (it is the classical discrete Hilbert transform in u = ln E),
+    so it is the oracle used for cross-checks against the fast diagonalized
+    path.  Like any faithful finite section of the continuum operator, its
+    eigenvalues cluster at the spectrum endpoints 0 and 1.
 
 ``subtraction``
-    Plain skip-diagonal trapezoidal rule, the matrix form of the
-    singularity-subtraction quadrature.  Its multiplier error is first order
-    in the grid spacing, but that error sweeps the discrete eigenvalues
-    uniformly across (0, 1), which makes the [0, 1] band structure of the
-    spectrum visible at modest grid sizes.  Use it for spectrum studies, not
-    for applying the operator accurately.
+    Plain skip-diagonal trapezoidal rule (T keeps every offset), the matrix
+    form of the singularity-subtraction quadrature.  Its multiplier error is
+    first order in the grid spacing, but that error sweeps the discrete
+    eigenvalues uniformly across (0, 1), which makes the [0, 1] band
+    structure of the spectrum visible at modest grid sizes.  Use it for
+    spectrum studies, not for applying the operator accurately.
 
 Both variants are Hermitian by construction with eigenvalues strictly inside
 (0, 1) up to roundoff.  The subtraction rule's self-term correction (the
 difference between the truncated-interval log term and the skip-sum) is
 purely imaginary in weighted coordinates and is therefore dropped from the
-matrix; :func:`subtraction_selfterm` exposes it so tests can verify that the
-matrix plus that term reproduces the subtraction quadrature exactly.
+operator; :func:`subtraction_selfterm` exposes it so tests can verify that
+the operator plus that term reproduces the subtraction quadrature exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import toeplitz
 
-from .grid import EnergyState, LogEnergyGrid, make_state
+from .grid import EnergyState, LogEnergyGrid, _readonly, make_state
 
 __all__ = [
     "DenseOperator",
@@ -59,43 +73,73 @@ def cauchy_kernel(e: np.ndarray | float, e_prime: np.ndarray | float) -> np.ndar
     return -1.0 / (2j * np.pi * (np.asarray(e) - np.asarray(e_prime)))
 
 
+def _circulant_fft(column: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """FFT of the 2n circulant whose leading n x n block is toeplitz(column, row)."""
+    return np.fft.fft(np.concatenate((column, [0.0], row[:0:-1])))
+
+
+def _toeplitz_apply(circulant_fft: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Toeplitz matrix times x along the last axis, by zero-padded FFT convolution."""
+    n = x.shape[-1]
+    return np.fft.ifft(circulant_fft * np.fft.fft(x, 2 * n, axis=-1), axis=-1)[..., :n]
+
+
+def _endpoint_scale(n: int) -> np.ndarray:
+    """d = sqrt(w_i / (E_i du)): 1/sqrt(2) at the two endpoints, 1 inside."""
+    d = np.ones(n)
+    d[[0, -1]] = 0.5**0.5
+    return d
+
+
 @dataclass(frozen=True)
 class DenseOperator:
-    """Hermitian matrix for the operator in weighted coordinates."""
+    """The operator in weighted coordinates, D T D + I/2 with T Hermitian Toeplitz.
+
+    ``column`` is T's first column (T_k0 for k = 0..n-1; its first row is
+    the conjugate) and ``circulant_fft`` the FFT of its 2n circulant
+    embedding, which :func:`apply_m_direct` uses.
+    """
 
     grid: LogEnergyGrid
-    matrix: np.ndarray
     quadrature: str
+    column: np.ndarray
+    circulant_fft: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The n x n Hermitian matrix, built on first access and kept read-only."""
+        A = toeplitz(self.column)
+        A[[0, -1], :] *= 0.5**0.5
+        A[:, [0, -1]] *= 0.5**0.5
+        np.fill_diagonal(A, 0.5)
+        return _readonly(A)
 
 
 def build_dense_m(grid: LogEnergyGrid, quadrature: str = "parity") -> DenseOperator:
-    """Assemble the dense Hermitian matrix on ``grid``.
+    """Sample the weighted Cauchy kernel on ``grid`` as a Toeplitz column.
 
-    Off-diagonal entries are sqrt(w_i) * [-(2 pi i)^{-1}/(E_i - E_j)] * sqrt(w_j),
-    masked to odd offsets and doubled for the parity rule; the diagonal is 1/2.
+    T_k0 = (i/2 pi) du / (2 sinh(k du/2)) for k >= 1, doubled at odd k and
+    zero at even k for the parity rule; T_00 = 0.  O(n) memory.
     """
     if quadrature not in QUADRATURES:
         raise ValueError(f"unknown quadrature {quadrature!r}; choose from {QUADRATURES}")
-    E = grid.points
-    s = np.sqrt(grid.weights)
-    diff = E[:, None] - E[None, :]
-    np.fill_diagonal(diff, 1.0)  # placeholder, diagonal overwritten below
-    A = (1j / (2.0 * np.pi)) * np.outer(s, s) / diff
+    k = np.arange(1, grid.n)
+    column = np.zeros(grid.n, dtype=complex)
+    column[1:] = (1j / (2.0 * np.pi)) * grid.du / (2.0 * np.sinh(0.5 * grid.du * k))
     if quadrature == "parity":
-        idx = np.arange(grid.n)
-        odd = ((idx[:, None] - idx[None, :]) & 1).astype(bool)
-        A = np.where(odd, 2.0 * A, 0.0)
-    np.fill_diagonal(A, 0.5)
-    A.setflags(write=False)
-    return DenseOperator(grid=grid, matrix=A, quadrature=quadrature)
+        column[1:] *= np.where(k & 1, 2.0, 0.0)
+    return DenseOperator(grid=grid, quadrature=quadrature, column=_readonly(column),
+                         circulant_fft=_readonly(_circulant_fft(column, column.conj())))
 
 
 def apply_m_direct(state: EnergyState, op: DenseOperator) -> EnergyState:
-    """Apply the dense matrix to each channel of ``state``."""
+    """Apply the operator to every channel of ``state`` in one batched convolution."""
     if state.grid != op.grid:
         raise ValueError("state and operator grids differ")
     s = np.sqrt(op.grid.weights)
-    out = (op.matrix @ (s * state.amplitudes).T).T / s
+    d = _endpoint_scale(op.grid.n)
+    v = s * state.amplitudes
+    out = (d * _toeplitz_apply(op.circulant_fft, d * v) + 0.5 * v) / s
     return make_state(state.grid, state.channels, out)
 
 
@@ -128,15 +172,18 @@ def subtraction_selfterm(grid: LogEnergyGrid) -> np.ndarray:
 
     L_i = ln((E_i - e_min)/(e_max - E_i)) is the exact truncated-interval
     principal value of the bare Cauchy kernel (endpoint-clamped) and S_i its
-    skip-diagonal trapezoidal sum.  The matrix omits the corresponding purely
-    imaginary diagonal term -(2 pi i)^{-1} (L_i - S_i); adding it back
+    skip-diagonal trapezoidal sum.  The operator omits the corresponding
+    purely imaginary diagonal term -(2 pi i)^{-1} (L_i - S_i); adding it back
     reproduces the raw subtraction quadrature (see tests).
+
+    S_i = sum_{j != i} w_j / (E_i - E_j) is Toeplitz in i - j, because
+    E_j / (E_i - E_j) = 1 / (e^{(i - j) du} - 1); it is applied to the
+    endpoint-halved weights w_j / (E_j du) by FFT convolution.
     """
-    E = grid.points
-    w = grid.weights
-    diff = E[:, None] - E[None, :]
-    np.fill_diagonal(diff, 1.0)
-    S = np.sum(np.where(np.eye(grid.n, dtype=bool), 0.0, w[None, :] / diff), axis=1)
+    k = np.arange(1, grid.n) * grid.du
+    column = np.concatenate(([0.0], 1.0 / np.expm1(k)))
+    row = np.concatenate(([0.0], 1.0 / np.expm1(-k)))
+    S = grid.du * _toeplitz_apply(_circulant_fft(column, row), _endpoint_scale(grid.n) ** 2).real
     return _endpoint_log_term(grid) - S
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,30 @@ from arrowm import (
 from arrowm.grid import zero_state
 from arrowm.operator import cauchy_kernel, pv_cauchy_quadrature
 
-from conftest import interior_residual
+from conftest import WIDE_BOUNDS, interior_residual
+
+
+def dense_assembly(grid, quadrature):
+    """Entry-by-entry weighted matrix sqrt(w_i w_j) (i/2 pi)/(E_i - E_j), diagonal 1/2."""
+    E = grid.points
+    s = np.sqrt(grid.weights)
+    diff = E[:, None] - E[None, :]
+    np.fill_diagonal(diff, 1.0)  # placeholder, diagonal overwritten below
+    A = (1j / (2.0 * np.pi)) * np.outer(s, s) / diff
+    if quadrature == "parity":
+        idx = np.arange(grid.n)
+        odd = ((idx[:, None] - idx[None, :]) & 1).astype(bool)
+        A = np.where(odd, 2.0 * A, 0.0)
+    np.fill_diagonal(A, 0.5)
+    return A
+
+
+TOEPLITZ_CASES = [
+    (bounds, n, quadrature)
+    for bounds in ((1e-3, 1e3), WIDE_BOUNDS)
+    for n in (257, 1024)
+    for quadrature in ("parity", "subtraction")
+]
 
 
 def test_cauchy_kernel_value():
@@ -152,3 +177,40 @@ def test_direct_agrees_with_fast_on_wide_grid(rng, wide_grid):
         diff = apply_m_fast(f).amplitudes - apply_m_direct(f, op).amplitudes
         err = state_norm(make_state(wide_grid, f.channels, diff)) / state_norm(f)
         assert err <= 1e-6
+
+
+@pytest.mark.parametrize("bounds,n,quadrature", TOEPLITZ_CASES)
+def test_toeplitz_matrix_matches_dense_assembly(bounds, n, quadrature):
+    g = make_log_grid(*bounds, n)
+    op = build_dense_m(g, quadrature)
+    A = dense_assembly(g, quadrature)
+    assert np.max(np.abs(op.matrix - A)) <= 1e-12 * np.max(np.abs(A))
+    assert op.matrix is op.matrix and not op.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("bounds,n,quadrature", TOEPLITZ_CASES)
+def test_apply_matches_dense_assembly(rng, bounds, n, quadrature):
+    # compared in the weighted norm: the convolution's roundoff is global, and
+    # unweighting by 1/sqrt(w) magnifies it pointwise where E is tiny
+    g = make_log_grid(*bounds, n)
+    op = build_dense_m(g, quadrature)
+    s = np.sqrt(g.weights)
+    A = dense_assembly(g, quadrature)
+    for _ in range(3):
+        f = random_smooth_state(g, rng)
+        reference = (A @ (s * f.amplitudes).T).T / s
+        diff = apply_m_direct(f, op).amplitudes - reference
+        assert state_norm(make_state(g, f.channels, diff)) <= 1e-12 * state_norm(f)
+
+
+def test_direct_path_memory_far_below_one_matrix(rng):
+    # at n = 8192 one complex n x n matrix is 16 n^2 bytes = 1.07 GB
+    g = make_log_grid(*WIDE_BOUNDS, 8192)
+    f = random_smooth_state(g, rng)
+    tracemalloc.start()
+    try:
+        apply_m_direct(f, build_dense_m(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * 16 * g.n**2
