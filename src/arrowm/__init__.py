@@ -55,6 +55,7 @@ from .operator import (
     apply_m_direct,
     build_dense_m,
     dense_spectrum,
+    hermiticity_residual,
     subtraction_selfterm,
 )
 
@@ -83,6 +84,7 @@ __all__ = [
     "frequency_grid",
     "frequency_jacobian",
     "frequency_of_eigenvalue",
+    "hermiticity_residual",
     "inner_product",
     "inverse_mellin",
     "make_log_grid",

@@ -18,8 +18,14 @@ with d = (1/sqrt 2, 1, ..., 1, 1/sqrt 2) from the halved endpoint weights.
 So the matrix is D T D + I/2 with T Hermitian Toeplitz, and the operator
 keeps only T's first column and the FFT of its 2n circulant embedding
 (Strang 1986).  Applying it is one zero-padded FFT convolution, O(n log n)
-time and O(n) memory; the n x n array is built only on request
-(:attr:`DenseOperator.matrix`), for eigenvalues and Hermiticity checks.
+time and O(n) memory; no n x n array is ever built.
+
+T = iR with R real, antisymmetric and Toeplitz, and d is palindromic, so the
+grid reversal J (E <-> e_min e_max / E) gives J A J = conj(A) = I - A.  The
+eigenvalues are therefore 1/2 +- sigma_k, with sigma_k the singular values
+of the real ceil(n/2) x floor(n/2) block that maps the J-odd vectors onto the
+J-even ones (plus 1/2 itself once for odd n); :func:`dense_spectrum` solves
+that half-size real problem.
 
 Two principal-value quadratures are provided, with different error profiles:
 
@@ -50,10 +56,9 @@ the operator plus that term reproduces the subtraction quadrature exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import hankel, svdvals, toeplitz
 
 from .grid import EnergyState, LogEnergyGrid, _readonly, make_state
 
@@ -62,6 +67,7 @@ __all__ = [
     "build_dense_m",
     "apply_m_direct",
     "dense_spectrum",
+    "hermiticity_residual",
     "subtraction_selfterm",
 ]
 
@@ -105,15 +111,6 @@ class DenseOperator:
     column: np.ndarray
     circulant_fft: np.ndarray
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The n x n Hermitian matrix, built on first access and kept read-only."""
-        A = toeplitz(self.column)
-        A[[0, -1], :] *= 0.5**0.5
-        A[:, [0, -1]] *= 0.5**0.5
-        np.fill_diagonal(A, 0.5)
-        return _readonly(A)
-
 
 def build_dense_m(grid: LogEnergyGrid, quadrature: str = "parity") -> DenseOperator:
     """Sample the weighted Cauchy kernel on ``grid`` as a Toeplitz column.
@@ -143,14 +140,47 @@ def apply_m_direct(state: EnergyState, op: DenseOperator) -> EnergyState:
     return make_state(state.grid, state.channels, out)
 
 
+def hermiticity_residual(op: DenseOperator) -> float:
+    """max |Im| of ``op.circulant_fft``: a Hermitian T has a real embedding FFT."""
+    return float(np.max(np.abs(op.circulant_fft.imag)))
+
+
+def _reversal_block(op: DenseOperator) -> np.ndarray:
+    """Real block B[j, k] = <e_j^+, D R D e_k^-> between the reversal-even and -odd bases.
+
+    e_j^+ = (e_j + e_{n-1-j})/sqrt 2 (the middle e_j itself for odd n) and
+    e_k^- = (e_k - e_{n-1-k})/sqrt 2; B is ceil(n/2) x floor(n/2).
+    """
+    if np.any(op.column.real != 0.0):
+        raise ValueError("the time-reversal split needs a purely imaginary Toeplitz column")
+    n = op.grid.n
+    h, o = (n + 1) // 2, n // 2
+    r = op.column.imag
+    rev = r[::-1]
+    d = _endpoint_scale(n)
+    B = toeplitz(r[:h], -r[:o])
+    B += hankel(rev[:h], rev[h - 1:h - 1 + o])
+    B *= d[:h, None]
+    B *= d[None, :o]
+    if n & 1:
+        B[-1] *= 0.5**0.5
+    return B
+
+
 def dense_spectrum(op: DenseOperator) -> np.ndarray:
-    """Real eigenvalues of the Hermitian matrix, ascending."""
+    """Real eigenvalues of the Hermitian matrix, ascending.
+
+    They are 1/2 +- the singular values of :func:`_reversal_block`, plus 1/2
+    once more for odd n.
+    """
+    B = _reversal_block(op)
     try:
-        return np.linalg.eigvalsh(op.matrix)
+        s = svdvals(B, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise RuntimeError(
             f"eigensolver failed for n={op.grid.n}, quadrature={op.quadrature!r}: {exc}"
         ) from exc
+    return np.sort(np.concatenate((0.5 - s, np.full(op.grid.n - 2 * s.size, 0.5), 0.5 + s)))
 
 
 def _endpoint_log_term(grid: LogEnergyGrid) -> np.ndarray:

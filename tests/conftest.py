@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from arrowm import make_log_grid, tukey_window
 
@@ -43,3 +44,27 @@ def interior_residual(grid, interior, state, applied, m0):
     num = np.sqrt(np.sum(w * np.abs(resid[:, interior]) ** 2))
     den = np.sqrt(np.sum(w * np.abs(state.amplitudes[:, interior]) ** 2))
     return float(num / den)
+
+
+def dense_assembly(grid, quadrature):
+    """Entry-by-entry weighted matrix sqrt(w_i w_j) (i/2 pi)/(E_i - E_j), diagonal 1/2."""
+    E = grid.points
+    s = np.sqrt(grid.weights)
+    diff = E[:, None] - E[None, :]
+    np.fill_diagonal(diff, 1.0)  # placeholder, diagonal overwritten below
+    A = (1j / (2.0 * np.pi)) * np.outer(s, s) / diff
+    if quadrature == "parity":
+        idx = np.arange(grid.n)
+        odd = ((idx[:, None] - idx[None, :]) & 1).astype(bool)
+        A = np.where(odd, 2.0 * A, 0.0)
+    np.fill_diagonal(A, 0.5)
+    return A
+
+
+def toeplitz_matrix(op):
+    """The operator's n x n Hermitian matrix D T D + I/2, from its Toeplitz column."""
+    A = toeplitz(op.column)
+    A[[0, -1], :] *= 0.5**0.5
+    A[:, [0, -1]] *= 0.5**0.5
+    np.fill_diagonal(A, 0.5)
+    return A

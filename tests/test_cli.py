@@ -97,6 +97,18 @@ def test_spectrum_scenario(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_spectrum_scenario_accepts_odd_grid(tmp_path):
+    # spectrum never runs the fast path, so its grid need not be a power of two
+    cfg = cfg_for("spectrum", tmp_path, extra={"grid.n": 257})
+    summary = run_scenario("spectrum", cfg)
+    _, rows = read_csv(tmp_path / "out" / "spectrum.csv")
+    eig = np.array([float(r[1]) for r in rows])
+    assert eig.size == 257
+    assert eig[0] >= -1e-6 and eig[-1] <= 1.0 + 1e-6
+    assert summary["hermiticity_residual"] <= 1e-12
+    assert summary["occupied_bins_of_20"] == 20
+
+
 def test_trajectory_scenario_summary_matches_csv(tmp_path):
     cfg = cfg_for("fig1", tmp_path,
                   extra={"grid.n": 512, "times.t_end": 8.0, "times.steps": 20})

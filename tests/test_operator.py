@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from arrowm import (
+    DenseOperator,
     apply_m_direct,
     apply_m_fast,
     build_dense_m,
     dense_spectrum,
+    hermiticity_residual,
     inner_product,
     make_log_grid,
     make_state,
@@ -17,30 +19,22 @@ from arrowm import (
     windowed_eigenfunction,
 )
 from arrowm.grid import zero_state
-from arrowm.operator import cauchy_kernel, pv_cauchy_quadrature
+from arrowm.operator import _circulant_fft, cauchy_kernel, pv_cauchy_quadrature
 
-from conftest import WIDE_BOUNDS, interior_residual
-
-
-def dense_assembly(grid, quadrature):
-    """Entry-by-entry weighted matrix sqrt(w_i w_j) (i/2 pi)/(E_i - E_j), diagonal 1/2."""
-    E = grid.points
-    s = np.sqrt(grid.weights)
-    diff = E[:, None] - E[None, :]
-    np.fill_diagonal(diff, 1.0)  # placeholder, diagonal overwritten below
-    A = (1j / (2.0 * np.pi)) * np.outer(s, s) / diff
-    if quadrature == "parity":
-        idx = np.arange(grid.n)
-        odd = ((idx[:, None] - idx[None, :]) & 1).astype(bool)
-        A = np.where(odd, 2.0 * A, 0.0)
-    np.fill_diagonal(A, 0.5)
-    return A
+from conftest import WIDE_BOUNDS, dense_assembly, interior_residual, toeplitz_matrix
 
 
 TOEPLITZ_CASES = [
     (bounds, n, quadrature)
     for bounds in ((1e-3, 1e3), WIDE_BOUNDS)
     for n in (257, 1024)
+    for quadrature in ("parity", "subtraction")
+]
+
+SPECTRUM_CASES = [
+    (bounds, n, quadrature)
+    for bounds in ((1e-3, 1e3), WIDE_BOUNDS)
+    for n in (2, 3, 17, 256, 257, 1024)
     for quadrature in ("parity", "subtraction")
 ]
 
@@ -56,13 +50,23 @@ def test_hermitian_for_random_bounds(rng, quadrature):
         lo = 10.0 ** rng.uniform(-6, -1)
         hi = 10.0 ** rng.uniform(1, 6)
         op = build_dense_m(make_log_grid(lo, hi, 64), quadrature=quadrature)
-        assert np.max(np.abs(op.matrix - op.matrix.conj().T)) <= 1e-12
+        A = toeplitz_matrix(op)
+        assert np.max(np.abs(A - A.conj().T)) <= 1e-12
+        assert hermiticity_residual(op) <= 1e-12
+
+
+def test_hermiticity_residual_flags_unconjugated_row():
+    # a circulant built from (column, column) embeds a non-Hermitian Toeplitz T
+    op = build_dense_m(make_log_grid(1e-3, 1e3, 256), "subtraction")
+    bad = DenseOperator(grid=op.grid, quadrature=op.quadrature, column=op.column,
+                        circulant_fft=_circulant_fft(op.column, op.column))
+    assert hermiticity_residual(bad) > 1e-12
 
 
 @pytest.mark.parametrize("quadrature", ["parity", "subtraction"])
 def test_diagonal_is_one_half(quadrature):
     op = build_dense_m(make_log_grid(1e-2, 1e2, 32), quadrature=quadrature)
-    assert np.allclose(np.diag(op.matrix), 0.5, rtol=0.0, atol=0.0)
+    assert np.allclose(np.diag(toeplitz_matrix(op)), 0.5, rtol=0.0, atol=0.0)
 
 
 def test_unknown_quadrature_rejected():
@@ -102,6 +106,30 @@ def test_dense_spectrum_range_n512(quadrature):
     assert ev[0] >= -1e-6
     assert ev[-1] <= 1.0 + 1e-6
     assert np.all(np.diff(ev) >= 0.0)
+
+
+@pytest.mark.parametrize("bounds,n,quadrature", SPECTRUM_CASES)
+def test_dense_spectrum_matches_eigvalsh(bounds, n, quadrature):
+    op = build_dense_m(make_log_grid(*bounds, n), quadrature)
+    reference = np.linalg.eigvalsh(toeplitz_matrix(op))
+    assert np.max(np.abs(dense_spectrum(op) - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("bounds,n,quadrature", SPECTRUM_CASES)
+def test_dense_spectrum_symmetric_about_one_half(bounds, n, quadrature):
+    # J A J = I - A: the discrete form of m(nu) + m(-nu) = 1
+    ev = dense_spectrum(build_dense_m(make_log_grid(*bounds, n), quadrature))
+    assert ev.size == n
+    assert np.max(np.abs(ev + ev[::-1] - 1.0)) <= 1e-13
+
+
+def test_dense_spectrum_rejects_column_with_real_part():
+    op = build_dense_m(make_log_grid(1e-3, 1e3, 64))
+    column = op.column + 1e-3
+    bad = DenseOperator(grid=op.grid, quadrature=op.quadrature, column=column,
+                        circulant_fft=_circulant_fft(column, column.conj()))
+    with pytest.raises(ValueError, match="purely imaginary"):
+        dense_spectrum(bad)
 
 
 def test_dense_spectrum_avoids_exact_endpoints():
@@ -184,8 +212,7 @@ def test_toeplitz_matrix_matches_dense_assembly(bounds, n, quadrature):
     g = make_log_grid(*bounds, n)
     op = build_dense_m(g, quadrature)
     A = dense_assembly(g, quadrature)
-    assert np.max(np.abs(op.matrix - A)) <= 1e-12 * np.max(np.abs(A))
-    assert op.matrix is op.matrix and not op.matrix.flags.writeable
+    assert np.max(np.abs(toeplitz_matrix(op) - A)) <= 1e-12 * np.max(np.abs(A))
 
 
 @pytest.mark.parametrize("bounds,n,quadrature", TOEPLITZ_CASES)
