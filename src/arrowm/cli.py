@@ -2,8 +2,12 @@
 
 Subcommands: spectrum, evolve, eigden, fig1, fig2, verify.  Scenarios are
 configured through line-based ``key = value`` text files with ``#`` comments
-and dotted keys; every subcommand ships usable defaults, and ``--out`` /
-``--path`` override the corresponding config keys.  CSV is the canonical
+and dotted keys.  ``KEYS`` gives every key's parser and default, and
+``SUBCOMMANDS`` every subcommand's runner, help line and default overrides;
+``--out`` / ``--path`` override the corresponding config keys.  Values are
+checked where they are used: the library's ValueErrors (a bad grid, state or
+time range) become :class:`ScenarioError`.  Exit codes: 0 ok, 1 a failed
+``verify`` check, 2 a bad configuration or scenario.  CSV is the canonical
 output (floats at 17 significant digits, so reruns are byte-identical);
 SVG line plots are a convenience.  The summary file is flat ``key = value``
 text; its timing entries are the only non-reproducible output.
@@ -13,12 +17,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 from scipy.special import erfc
 
-from .dynamics import MONOTONE_TOL, evolve, expectation_m, trajectory
+from .dynamics import MONOTONE_TOL, PATHS, evolve, expectation_m, trajectory
 from .freeparticle import (
     GaussianPacketParams,
     position_density,
@@ -26,6 +31,7 @@ from .freeparticle import (
     to_energy_state,
 )
 from .grid import (
+    CHANNELS,
     make_log_grid,
     make_state,
     normalize_state,
@@ -47,10 +53,15 @@ from .mellin import (
     tukey_window,
     windowed_eigenfunction,
 )
-from .operator import apply_m_direct, build_dense_m, dense_spectrum, hermiticity_residual
+from .operator import (
+    QUADRATURES, apply_m_direct, build_dense_m, dense_spectrum, hermiticity_residual,
+)
 from .svgplot import write_line_plot
 
 __all__ = ["ScenarioError", "parse_config_text", "run_scenario", "main"]
+
+# Seed of the random states `verify` checks; its summary records it.
+_VERIFY_SEED = 12345
 
 
 class ScenarioError(Exception):
@@ -70,6 +81,13 @@ def _parse_float_list(s: str):
     return tuple(float(tok) for tok in s.split(",") if tok.strip())
 
 
+def _parse_count(s: str) -> int:
+    v = int(s)
+    if v < 2:
+        raise ValueError(f"need at least 2, got {v}")
+    return v
+
+
 def _parse_choice(*choices):
     def parse(s: str) -> str:
         v = s.strip()
@@ -80,68 +98,32 @@ def _parse_choice(*choices):
     return parse
 
 
-KEY_TYPES = {
-    "grid.e_min": float,
-    "grid.e_max": float,
-    "grid.n": int,
-    "state.kind": _parse_choice("gaussian", "eigenfunction"),
-    "state.eta": float,
-    "state.p0": float,
-    "state.xi0": float,
-    "state.m": float,
-    "state.channel": _parse_choice("+", "-"),
-    "state.window_flat": float,
-    "state.window_taper": float,
-    "times.t_start": float,
-    "times.t_end": float,
-    "times.steps": int,
-    "path": _parse_choice("direct", "fast", "both"),
-    "operator.quadrature": _parse_choice("parity", "subtraction"),
-    "output.dir": str,
-    "output.svg": _parse_bool,
-    "frames.times": _parse_float_list,
-    "frames.x_points": int,
-    "frames.density_points": int,
-    "density.time": float,
-    "verify.seed": int,
-    "tail_tol": float,
-}
+_PATH_CHOICES = (*PATHS, "both")
 
-_COMMON = {
-    "grid.e_min": 5e-15,
-    "grid.e_max": 50.0,
-    "grid.n": 4096,
-    "state.kind": "gaussian",
-    "state.eta": 1.0,
-    "state.p0": 0.64,
-    "state.xi0": 0.3,
-    "state.m": 0.5,
-    "state.channel": "+",
-    "state.window_flat": 0.5,
-    "state.window_taper": 0.15,
-    "times.t_start": 0.0,
-    "times.t_end": 32.0,
-    "times.steps": 200,
-    "path": "fast",
-    "operator.quadrature": "parity",
-    "output.dir": "out",
-    "output.svg": True,
-    "frames.times": (2.0, 4.0, 8.0, 16.0, 32.0),
-    "frames.x_points": 2001,
-    "frames.density_points": 801,
-    "density.time": 2.0,
-    "verify.seed": 12345,
-    "tail_tol": 1e-8,
-}
-
-DEFAULTS = {
-    "spectrum": {"grid.e_min": 1e-3, "grid.e_max": 1e3, "grid.n": 512,
-                 "operator.quadrature": "subtraction"},
-    "evolve": {},
-    "fig1": {},
-    "fig2": {},
-    "eigden": {},
-    "verify": {},
+# key: (parser of its config-file text, default)
+KEYS = {
+    "grid.e_min": (float, 5e-15),
+    "grid.e_max": (float, 50.0),
+    "grid.n": (int, 4096),
+    "state.kind": (_parse_choice("gaussian", "eigenfunction"), "gaussian"),
+    "state.eta": (float, 1.0),
+    "state.p0": (float, 0.64),
+    "state.xi0": (float, 0.3),
+    "state.m": (float, 0.5),
+    "state.channel": (_parse_choice(*CHANNELS), "+"),
+    "state.window_flat": (float, 0.5),
+    "state.window_taper": (float, 0.15),
+    "times.t_start": (float, 0.0),
+    "times.t_end": (float, 32.0),
+    "times.steps": (_parse_count, 200),
+    "path": (_parse_choice(*_PATH_CHOICES), "fast"),
+    "operator.quadrature": (_parse_choice(*QUADRATURES), "parity"),
+    "output.dir": (str, "out"),
+    "output.svg": (_parse_bool, True),
+    "frames.times": (_parse_float_list, (2.0, 4.0, 8.0, 16.0, 32.0)),
+    "frames.x_points": (_parse_count, 2001),
+    "frames.density_points": (_parse_count, 801),
+    "density.time": (float, 2.0),
 }
 
 
@@ -157,10 +139,10 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KEY_TYPES:
+        if key not in KEYS:
             raise ScenarioError(f"config line {ln}: unknown key {key!r}")
         try:
-            out[key] = KEY_TYPES[key](value)
+            out[key] = KEYS[key][0](value)
         except (ValueError, TypeError) as exc:
             raise ScenarioError(f"config line {ln}: bad value for {key!r}: {exc}") from exc
     return out
@@ -168,8 +150,8 @@ def parse_config_text(text: str) -> dict:
 
 def load_config(subcommand: str, config_path=None, overrides=None) -> dict:
     """Flat configuration (dotted keys): defaults, then the file, then ``overrides``."""
-    values = dict(_COMMON)
-    values.update(DEFAULTS[subcommand])
+    values = {key: default for key, (_, default) in KEYS.items()}
+    values.update(SUBCOMMANDS[subcommand][2])
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
@@ -177,11 +159,6 @@ def load_config(subcommand: str, config_path=None, overrides=None) -> dict:
         values.update(parse_config_text(path.read_text(encoding="utf-8")))
     if overrides:
         values.update(overrides)
-    uses_fast = subcommand != "spectrum" and values["path"] in ("fast", "both")
-    if uses_fast and (values["grid.n"] & (values["grid.n"] - 1)) != 0:
-        raise ScenarioError(
-            f"grid.n = {values['grid.n']} must be a power of two when the fast path is used"
-        )
     return values
 
 
@@ -231,19 +208,16 @@ def _prepare_outdir(cfg: dict) -> Path:
 
 
 def build_scenario_grid(cfg: dict):
-    try:
-        return make_log_grid(cfg["grid.e_min"], cfg["grid.e_max"], cfg["grid.n"])
-    except ValueError as exc:
-        raise ScenarioError(f"bad grid configuration: {exc}") from exc
+    return make_log_grid(cfg["grid.e_min"], cfg["grid.e_max"], cfg["grid.n"])
+
+
+def _packet(cfg: dict) -> GaussianPacketParams:
+    return GaussianPacketParams(cfg["state.eta"], cfg["state.p0"], cfg["state.xi0"])
 
 
 def build_scenario_state(cfg: dict, grid):
     if cfg["state.kind"] == "gaussian":
-        params = GaussianPacketParams(cfg["state.eta"], cfg["state.p0"], cfg["state.xi0"])
-        try:
-            return normalize_state(to_energy_state(params, grid, tail_tol=cfg["tail_tol"]))
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        return normalize_state(to_energy_state(_packet(cfg), grid))
     flat = 0.5 * cfg["state.window_flat"] * grid.span
     taper = cfg["state.window_taper"] * grid.span
     window = tukey_window(grid, flat, taper)
@@ -254,13 +228,6 @@ def build_scenario_state(cfg: dict, grid):
         )
     state = windowed_eigenfunction(grid, cfg["state.m"], cfg["state.channel"], window)
     return normalize_state(state)
-
-
-def _scenario_times(cfg: dict) -> np.ndarray:
-    t0, t1, steps = cfg["times.t_start"], cfg["times.t_end"], cfg["times.steps"]
-    if steps < 2 or t1 <= t0:
-        raise ScenarioError("times require t_end > t_start and steps >= 2")
-    return np.linspace(t0, t1, steps)
 
 
 def eigen_density_frame(state, points: int = 801):
@@ -286,12 +253,25 @@ def eigen_density_frame(state, points: int = 801):
     return m, rho, covered, *_moments(spec.frequencies, weight)
 
 
+def _write_density_frame(out: Path, stem: str, t: float, m, rho, svg: bool) -> None:
+    write_csv(out / f"{stem}.csv", ("m", "rho_plus", "rho_minus"), zip(m, rho[0], rho[1]))
+    if svg:
+        # rho(m) has integrable spikes at the interval edges (the change of
+        # variables amplifies coefficient tails by 1/(2 pi m (1 - m))); plot the
+        # bulk window only, the CSV carries the full frame
+        bulk = (m >= 1e-3) & (m <= 1.0 - 1e-3)
+        write_line_plot(out / f"{stem}.svg", m[bulk],
+                        {"rho_plus": rho[0][bulk], "rho_minus": rho[1][bulk]},
+                        title=f"eigenvalue density at t = {t:g}",
+                        xlabel="m (bulk window)", ylabel="rho(m)")
+
+
 # ---------------------------------------------------------------------------
-# subcommand runners
+# subcommand runners: each writes its files into ``out`` and returns the
+# summary entries that follow "scenario"
 
 
-def run_spectrum(cfg: dict) -> dict:
-    out = _prepare_outdir(cfg)
+def run_spectrum(cfg: dict, out: Path) -> dict:
     t0 = time.perf_counter()
     grid = build_scenario_grid(cfg)
     op = build_dense_m(grid, quadrature=cfg["operator.quadrature"])
@@ -305,8 +285,7 @@ def run_spectrum(cfg: dict) -> dict:
                         {"eigenvalue": eigvals}, title="dense spectrum",
                         xlabel="index", ylabel="eigenvalue")
     bins = np.histogram(eigvals, bins=20, range=(0.0, 1.0))[0]
-    summary = {
-        "scenario": "spectrum",
+    return {
         "quadrature": cfg["operator.quadrature"],
         "grid.e_min": cfg["grid.e_min"], "grid.e_max": cfg["grid.e_max"], "grid.n": cfg["grid.n"],
         "hermiticity_residual": herm,
@@ -316,16 +295,13 @@ def run_spectrum(cfg: dict) -> dict:
         "timing_build_s": t1 - t0,
         "timing_eigensolve_s": t2 - t1,
     }
-    write_summary(out / "summary.txt", summary)
-    return summary
 
 
-def run_trajectory_scenario(cfg: dict, name: str) -> dict:
-    out = _prepare_outdir(cfg)
+def run_trajectory_scenario(cfg: dict, out: Path, name: str) -> dict:
     t0 = time.perf_counter()
     grid = build_scenario_grid(cfg)
     state = build_scenario_state(cfg, grid)
-    times = _scenario_times(cfg)
+    times = np.linspace(cfg["times.t_start"], cfg["times.t_end"], cfg["times.steps"])
     paths = ("direct", "fast") if cfg["path"] == "both" else (cfg["path"],)
     t1 = time.perf_counter()
     results = {}
@@ -346,7 +322,6 @@ def run_trajectory_scenario(cfg: dict, name: str) -> dict:
                         xlabel="t", ylabel="<M>(t)")
 
     summary = {
-        "scenario": name,
         "path": cfg["path"],
         "grid.e_min": cfg["grid.e_min"], "grid.e_max": cfg["grid.e_max"], "grid.n": cfg["grid.n"],
         "t_start": float(times[0]), "t_end": float(times[-1]), "steps": int(times.size),
@@ -363,36 +338,19 @@ def run_trajectory_scenario(cfg: dict, name: str) -> dict:
         )
     summary["timing_setup_s"] = t1 - t0
     summary["timing_trajectory_s"] = t2 - t1
-    write_summary(out / "summary.txt", summary)
     return summary
 
 
-def _density_svg(path, m, rho, title):
-    # rho(m) has integrable spikes at the interval edges (the change of
-    # variables amplifies coefficient tails by 1/(2 pi m (1 - m))); plot the
-    # bulk window only, the CSV carries the full frame
-    bulk = (m >= 1e-3) & (m <= 1.0 - 1e-3)
-    write_line_plot(path, m[bulk], {"rho_plus": rho[0][bulk], "rho_minus": rho[1][bulk]},
-                    title=title, xlabel="m (bulk window)", ylabel="rho(m)")
-
-
-def run_eigden(cfg: dict) -> dict:
-    out = _prepare_outdir(cfg)
+def run_eigden(cfg: dict, out: Path) -> dict:
     grid = build_scenario_grid(cfg)
     state = build_scenario_state(cfg, grid)
     t = cfg["density.time"]
     t0 = time.perf_counter()
-    evolved = evolve(state, t)
     m, rho, covered, mass, first = eigen_density_frame(
-        evolved, points=cfg["frames.density_points"])
+        evolve(state, t), points=cfg["frames.density_points"])
     t1 = time.perf_counter()
-    write_csv(out / "eigen_density.csv", ("m", "rho_plus", "rho_minus"),
-              zip(m, rho[0], rho[1]))
-    if cfg["output.svg"]:
-        _density_svg(out / "eigen_density.svg", m, rho,
-                     f"eigenvalue density at t = {t:g}")
-    summary = {
-        "scenario": "eigden",
+    _write_density_frame(out, "eigen_density", t, m, rho, cfg["output.svg"])
+    return {
         "time": t,
         "grid.e_min": cfg["grid.e_min"], "grid.e_max": cfg["grid.e_max"], "grid.n": cfg["grid.n"],
         "frame_covered_mass": covered,
@@ -400,21 +358,16 @@ def run_eigden(cfg: dict) -> dict:
         "density_first_moment": first,
         "timing_density_s": t1 - t0,
     }
-    write_summary(out / "summary.txt", summary)
-    return summary
 
 
-def run_fig2(cfg: dict) -> dict:
+def run_fig2(cfg: dict, out: Path) -> dict:
     if cfg["state.kind"] != "gaussian":
         raise ScenarioError("fig2 frames need a gaussian packet state")
-    out = _prepare_outdir(cfg)
-    grid = build_scenario_grid(cfg)
-    state = build_scenario_state(cfg, grid)
-    params = GaussianPacketParams(cfg["state.eta"], cfg["state.p0"], cfg["state.xi0"])
+    params = _packet(cfg)
+    state = build_scenario_state(cfg, build_scenario_grid(cfg))
     frame_times = cfg["frames.times"]
     t0 = time.perf_counter()
     summary = {
-        "scenario": "fig2",
         "grid.e_min": cfg["grid.e_min"], "grid.e_max": cfg["grid.e_max"], "grid.n": cfg["grid.n"],
         "n_frames": len(frame_times),
     }
@@ -425,16 +378,12 @@ def run_fig2(cfg: dict) -> dict:
         dens = position_density(params, x, t)
         write_csv(out / f"position_density_{k:02d}.csv", ("coordinate", "density"),
                   zip(x, dens))
-        evolved = evolve(state, t)
-        m, rho, covered, mass, first = eigen_density_frame(
-            evolved, points=cfg["frames.density_points"])
-        write_csv(out / f"eigen_density_{k:02d}.csv", ("m", "rho_plus", "rho_minus"),
-                  zip(m, rho[0], rho[1]))
         if cfg["output.svg"]:
             write_line_plot(out / f"position_density_{k:02d}.svg", x, {"density": dens},
                             title=f"|psi(x, t)|^2 at t = {t:g}", xlabel="x", ylabel="density")
-            _density_svg(out / f"eigen_density_{k:02d}.svg", m, rho,
-                         f"eigenvalue density at t = {t:g}")
+        m, rho, covered, mass, first = eigen_density_frame(
+            evolve(state, t), points=cfg["frames.density_points"])
+        _write_density_frame(out, f"eigen_density_{k:02d}", t, m, rho, cfg["output.svg"])
         mass_x = float(np.trapezoid(dens, x))
         mean_x = float(np.trapezoid(x * dens, x) / mass_x)
         var_x = float(np.trapezoid((x - mean_x) ** 2 * dens, x) / mass_x)
@@ -444,7 +393,6 @@ def run_fig2(cfg: dict) -> dict:
         summary[f"frame_{k:02d}_density_covered_mass"] = covered
         summary[f"frame_{k:02d}_expectation_m"] = first / mass
     summary["timing_frames_s"] = time.perf_counter() - t0
-    write_summary(out / "summary.txt", summary)
     return summary
 
 
@@ -452,8 +400,8 @@ def run_fig2(cfg: dict) -> dict:
 # verify
 
 
-def _verify_checks(cfg: dict):
-    rng = np.random.default_rng(cfg["verify.seed"])
+def _verify_checks():
+    rng = np.random.default_rng(_VERIFY_SEED)
     checks = []
 
     def record(name, value, tol, ok=None):
@@ -552,40 +500,53 @@ def _verify_checks(cfg: dict):
     return checks
 
 
-def run_verify(cfg: dict) -> dict:
-    out = _prepare_outdir(cfg)
+def run_verify(cfg: dict, out: Path) -> dict:
     t0 = time.perf_counter()
-    checks = _verify_checks(cfg)
+    checks = _verify_checks()
     elapsed = time.perf_counter() - t0
     write_csv(out / "verify_results.csv", ("check", "status", "value", "tolerance"), checks)
     failed = [name for name, status, _, _ in checks if status == "FAIL"]
-    summary = {
-        "scenario": "verify",
-        "seed": cfg["verify.seed"],
-        "n_checks": len(checks),
-        "n_failed": len(failed),
-        "overall": "PASS" if not failed else "FAIL",
-        "timing_total_s": elapsed,
-    }
-    write_summary(out / "summary.txt", summary)
+    overall = "PASS" if not failed else "FAIL"
     for name, status, value, tol in checks:
         print(f"{status:4s} {name} (value={value:.3e}, tol={tol:.3e})")
-    print(f"verify: {summary['overall']} ({len(checks)} checks, {len(failed)} failed)")
-    return summary
+    print(f"verify: {overall} ({len(checks)} checks, {len(failed)} failed)")
+    return {
+        "seed": _VERIFY_SEED,
+        "n_checks": len(checks),
+        "n_failed": len(failed),
+        "overall": overall,
+        "timing_total_s": elapsed,
+    }
 
 
-RUNNERS = {
-    "spectrum": run_spectrum,
-    "evolve": lambda cfg: run_trajectory_scenario(cfg, "evolve"),
-    "fig1": lambda cfg: run_trajectory_scenario(cfg, "fig1"),
-    "fig2": run_fig2,
-    "eigden": run_eigden,
-    "verify": run_verify,
+# name: (runner(cfg, out) -> summary entries, help line, default overrides)
+SUBCOMMANDS = {
+    "spectrum": (run_spectrum, "dense eigenvalue spectrum of the operator",
+                 {"grid.e_min": 1e-3, "grid.e_max": 1e3, "grid.n": 512,
+                  "operator.quadrature": "subtraction"}),
+    "evolve": (partial(run_trajectory_scenario, name="evolve"),
+               "expectation trajectory for a configured state", {}),
+    "eigden": (run_eigden, "eigenvalue density of a configured state", {}),
+    "fig1": (partial(run_trajectory_scenario, name="fig1"),
+             "free-packet monotone expectation decay scenario", {}),
+    "fig2": (run_fig2, "free-packet position/eigenvalue density frames", {}),
+    "verify": (run_verify, "run the invariant suite; exit 1 on failure", {}),
 }
 
 
 def run_scenario(subcommand: str, cfg: dict) -> dict:
-    return RUNNERS[subcommand](cfg)
+    """Run one subcommand into ``cfg["output.dir"]``; write and return its summary.
+
+    The library's ValueErrors (bad grids, states or times) become ScenarioError.
+    """
+    runner = SUBCOMMANDS[subcommand][0]
+    out = _prepare_outdir(cfg)
+    try:
+        summary = {"scenario": subcommand, **runner(cfg, out)}
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    write_summary(out / "summary.txt", summary)
+    return summary
 
 
 def main(argv=None) -> int:
@@ -595,18 +556,11 @@ def main(argv=None) -> int:
                     "eigenvalue densities, wave-packet frames, invariant checks.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, blurb in (
-        ("spectrum", "dense eigenvalue spectrum of the operator"),
-        ("evolve", "expectation trajectory for a configured state"),
-        ("eigden", "eigenvalue density of a configured state"),
-        ("fig1", "free-packet monotone expectation decay scenario"),
-        ("fig2", "free-packet position/eigenvalue density frames"),
-        ("verify", "run the invariant suite; exit nonzero on failure"),
-    ):
+    for name, (_, blurb, _) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="key = value scenario configuration file")
         p.add_argument("--out", help="output directory (overrides output.dir)")
-        p.add_argument("--path", choices=("direct", "fast", "both"),
+        p.add_argument("--path", choices=_PATH_CHOICES,
                        help="operator application path (overrides path)")
     args = parser.parse_args(argv)
     overrides = {}

@@ -35,6 +35,9 @@ __all__ = [
     "packet_tail_mass",
 ]
 
+# Largest momentum mass a packet may leave outside the grid's energy window.
+_TAIL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class GaussianPacketParams:
@@ -96,21 +99,19 @@ def packet_tail_mass(params: GaussianPacketParams, e_min: float, e_max: float) -
     return float(inner + outer)
 
 
-def to_energy_state(
-    params: GaussianPacketParams, grid: LogEnergyGrid, tail_tol: float = 1e-8
-) -> EnergyState:
+def to_energy_state(params: GaussianPacketParams, grid: LogEnergyGrid) -> EnergyState:
     """Two-channel energy amplitudes of the t = 0 packet on ``grid``.
 
     f_pm(E_i) = (eta / 2 E_i)^{1/4} phi(+-sqrt(2 eta E_i)); the Jacobian
     factor makes the combined two-channel norm equal the momentum norm.
-    Raises when more than ``tail_tol`` of the momentum mass falls outside the
-    grid's energy window, with a hint toward wider bounds.
+    Raises when more than 1e-8 of the momentum mass falls outside the grid's
+    energy window, with a hint toward wider bounds.
     """
     tail = packet_tail_mass(params, grid.e_min, grid.e_max)
-    if tail > tail_tol:
+    if tail > _TAIL_TOL:
         raise ValueError(
             f"packet leaves {tail:.3e} of its mass outside [{grid.e_min:g}, {grid.e_max:g}] "
-            f"(tolerance {tail_tol:g}); widen the grid bounds (lower e_min and/or raise e_max)"
+            f"(tolerance {_TAIL_TOL:g}); widen the grid bounds (lower e_min and/or raise e_max)"
         )
     E = grid.points
     p = np.sqrt(2.0 * params.eta * E)

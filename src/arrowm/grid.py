@@ -67,9 +67,9 @@ class LogEnergyGrid:
     def __post_init__(self):
         e_min, e_max, n = self.e_min, self.e_max, self.n
         if not (e_min > 0.0):
-            raise ValueError(f"e_min must be positive, got {e_min}")
+            raise ValueError(f"grid e_min must be positive, got {e_min}")
         if not (e_max > e_min):
-            raise ValueError(f"e_max must exceed e_min, got [{e_min}, {e_max}]")
+            raise ValueError(f"grid e_max must exceed e_min, got [{e_min}, {e_max}]")
         if n < 2 or n != int(n):
             raise ValueError(f"need a whole number of at least 2 grid points, got {n}")
         n = int(n)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from arrowm.cli import (
     parse_config_text,
     run_scenario,
 )
-from arrowm import frequency_jacobian, frequency_of_eigenvalue
+from arrowm import cli, frequency_jacobian, frequency_of_eigenvalue
 
 
 def read_csv(path):
@@ -67,11 +69,19 @@ def test_parse_config_requires_assignment():
         parse_config_text("grid.n 8\n")
 
 
-def test_fast_path_requires_power_of_two(tmp_path):
-    with pytest.raises(ScenarioError, match="power of two"):
-        cfg_for("evolve", tmp_path, extra={"grid.n": 1000})
-    cfg = cfg_for("evolve", tmp_path, extra={"grid.n": 1000, "path": "direct"})
-    assert cfg["grid.n"] == 1000
+@pytest.mark.parametrize("key", ["frames.x_points", "frames.density_points", "times.steps"])
+def test_parse_config_count_below_two_reports_line(key):
+    for bad in ("1", "0", "-3"):
+        with pytest.raises(ScenarioError, match=f"line 2: bad value for '{key}'"):
+            parse_config_text(f"grid.n = 512\n{key} = {bad}\n")
+    assert parse_config_text(f"{key} = 2\n")[key] == 2
+
+
+def test_sample_configs_parse():
+    configs = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+    assert configs
+    for path in configs:
+        assert parse_config_text(path.read_text(encoding="utf-8"))
 
 
 def test_missing_config_file(tmp_path):
@@ -231,6 +241,39 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     rc = main(["fig1", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub,text", [
+    ("fig1", "times.t_start = -1\n"),
+    ("evolve", "state.kind = eigenfunction\nstate.m = 1.5\n"),
+    ("fig1", "times.steps = 1\n"),
+])
+def test_main_bad_scenario_exits_two_with_one_line(tmp_path, capsys, sub, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("grid.n = 512\n" + text)
+    rc = main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"arrow-m {sub}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_main_failed_verify_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_verify_checks", lambda: [("broken", "FAIL", 1.0, 0.0)])
+    assert main(["verify", "--out", str(tmp_path / "v")]) == 1
+    assert "verify: FAIL (1 checks, 1 failed)" in capsys.readouterr().out
+
+
+def test_main_fast_path_accepts_any_grid_size(tmp_path):
+    # numpy's FFT takes any length, so the fast path needs no power of two
+    cfg = tmp_path / "fig1.cfg"
+    cfg.write_text("grid.n = 1000\n")
+    assert main(["fig1", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+    summary = dict(line.split(" = ", 1) for line in lines)
+    assert summary["grid.n"] == "1000" and summary["path"] == "fast"
+    assert float(summary["m_start_fast"]) == pytest.approx(0.5, abs=1e-6)
+    assert int(summary["n_monotone_violations_fast"]) == 0
 
 
 def test_main_cli_overrides(tmp_path):
