@@ -56,7 +56,6 @@ from .operator import (
     build_dense_m,
     dense_spectrum,
     hermiticity_residual,
-    subtraction_selfterm,
 )
 
 __version__ = "0.1.0"
@@ -99,7 +98,6 @@ __all__ = [
     "sample_eigenfunction",
     "spectral_weight",
     "state_norm",
-    "subtraction_selfterm",
     "to_energy_state",
     "trajectory",
     "tukey_window",

@@ -18,10 +18,10 @@ momentum, with amplitudes f_pm(E) = (eta / 2E)^{1/4} phi(+-sqrt(2 eta E)).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .grid import CHANNELS, EnergyState, LogEnergyGrid, make_state
 
@@ -87,12 +87,11 @@ def packet_tail_mass(params: GaussianPacketParams, e_min: float, e_max: float) -
     The window excludes |p| < sqrt(2 eta e_min) (the fold-through at E -> 0)
     and |p| > sqrt(2 eta e_max); both pieces are exact Gaussian integrals.
     """
-    sigma = params.xi0 / np.sqrt(2.0)
     p_lo = np.sqrt(2.0 * params.eta * e_min)
     p_hi = np.sqrt(2.0 * params.eta * e_max)
 
-    def mass_below(p):  # integral of |phi|^2 over (-inf, p]
-        return ndtr((p - params.p0) / sigma)
+    def mass_below(p):  # integral of |phi|^2 over (-inf, p]; its variance is xi0^2 / 2
+        return 0.5 * math.erfc((params.p0 - p) / params.xi0)
 
     inner = mass_below(p_lo) - mass_below(-p_lo)
     outer = 1.0 - (mass_below(p_hi) - mass_below(-p_hi))

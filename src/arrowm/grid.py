@@ -117,12 +117,6 @@ class EnergyState:
     channels: tuple
     amplitudes: np.ndarray
 
-    def channel_index(self, label: str) -> int:
-        try:
-            return self.channels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown channel {label!r}; have {self.channels}") from None
-
 
 def make_state(grid: LogEnergyGrid, channels, amplitudes) -> EnergyState:
     """Wrap per-channel amplitude samples into an immutable state."""
@@ -136,10 +130,6 @@ def make_state(grid: LogEnergyGrid, channels, amplitudes) -> EnergyState:
             f"({len(channels)} channels, {grid.n} points)"
         )
     return EnergyState(grid=grid, channels=channels, amplitudes=_readonly(amps.copy()))
-
-
-def zero_state(grid: LogEnergyGrid, channels=CHANNELS) -> EnergyState:
-    return make_state(grid, channels, np.zeros((len(channels), grid.n), dtype=complex))
 
 
 def _check_compatible(a: EnergyState, b: EnergyState) -> None:

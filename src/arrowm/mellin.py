@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import expit, logit
 
 from .grid import CHANNELS, EnergyState, LogEnergyGrid, _readonly, make_state
 
@@ -53,8 +51,12 @@ __all__ = [
 
 
 def eigenvalue_of_frequency(nu):
-    """Multiplier m(nu) = (1 + e^{2 pi nu})^{-1}, strictly decreasing on (0, 1)."""
-    return expit(-2.0 * np.pi * np.asarray(nu, dtype=float))
+    """Multiplier m(nu) = (1 + e^{2 pi nu})^{-1}, strictly decreasing on (0, 1).
+
+    Above nu of about 113, e^{2 pi nu} overflows to inf and m reads exactly 0.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(2.0 * np.pi * np.asarray(nu, dtype=float)))
 
 
 def frequency_of_eigenvalue(m):
@@ -62,7 +64,7 @@ def frequency_of_eigenvalue(m):
     m = np.asarray(m, dtype=float)
     if np.any(m <= 0.0) or np.any(m >= 1.0):
         raise ValueError("eigenvalue must lie strictly inside (0, 1)")
-    return -logit(m) / (2.0 * np.pi)
+    return (np.log1p(-m) - np.log(m)) / (2.0 * np.pi)
 
 
 def frequency_jacobian(m):
@@ -212,12 +214,6 @@ def tukey_window(
     return w
 
 
-def gaussian_window(grid: LogEnergyGrid, sigma: float, center: float | None = None) -> np.ndarray:
-    """Gaussian taper exp(-(u - c)^2 / (2 sigma^2)) on the log grid."""
-    c = grid.center if center is None else center
-    return np.exp(-((grid.log_points - c) ** 2) / (2.0 * sigma**2))
-
-
 def windowed_eigenfunction(
     grid: LogEnergyGrid, m: float, channel: str, window: np.ndarray
 ) -> EnergyState:
@@ -242,30 +238,3 @@ def completeness_kernel_check(e: float, e_prime: float, theta: float) -> complex
     return complex(
         (4.0 * np.pi**2) ** -1 * (e * e_prime) ** -0.5 * np.pi / np.sin(np.pi * y)
     )
-
-
-def completeness_kernel_quadrature(
-    e: float, e_prime: float, theta: float, span: float | None = None
-) -> complex:
-    """Slow cross-check: numerically integrate the eigenvalue integral over m.
-
-    Substitutes m = (1 + e^{-v})^{-1}, which stretches the integrable endpoint
-    singularities at m = 0, 1 onto exponentially damped tails, then applies
-    adaptive quadrature.  Intended for moderate theta (the v tail decays like
-    e^{-theta v / 2 pi}).
-    """
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    y = (theta - 1j * np.log(e / e_prime)) / (2.0 * np.pi)
-    x = 1.0 - y
-    if span is None:
-        span = max(200.0, 2.0 * np.pi * 25.0 / theta)
-
-    def integrand(v: float) -> complex:
-        log_m = -np.logaddexp(0.0, -v)
-        log_1m = -np.logaddexp(0.0, v)
-        return np.exp(x * log_m + y * log_1m)
-
-    re = quad(lambda v: integrand(v).real, -span, span, limit=4000)[0]
-    im = quad(lambda v: integrand(v).imag, -span, span, limit=4000)[0]
-    return complex((4.0 * np.pi**2) ** -1 * (e * e_prime) ** -0.5 * (re + 1j * im))

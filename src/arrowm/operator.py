@@ -50,15 +50,15 @@ Both variants are Hermitian by construction with eigenvalues strictly inside
 (0, 1) up to roundoff.  The subtraction rule's self-term correction (the
 difference between the truncated-interval log term and the skip-sum) is
 purely imaginary in weighted coordinates and is therefore dropped from the
-operator; :func:`subtraction_selfterm` exposes it so tests can verify that
-the operator plus that term reproduces the subtraction quadrature exactly.
+operator; the tests compute that term and check that the operator plus it
+reproduces the subtraction quadrature exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hankel, svdvals, toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import EnergyState, LogEnergyGrid, _readonly, make_state
 
@@ -68,15 +68,9 @@ __all__ = [
     "apply_m_direct",
     "dense_spectrum",
     "hermiticity_residual",
-    "subtraction_selfterm",
 ]
 
 QUADRATURES = ("parity", "subtraction")
-
-
-def cauchy_kernel(e: np.ndarray | float, e_prime: np.ndarray | float) -> np.ndarray | complex:
-    """Off-diagonal kernel value -(2 pi i)^{-1} / (E - E')."""
-    return -1.0 / (2j * np.pi * (np.asarray(e) - np.asarray(e_prime)))
 
 
 def _circulant_fft(column: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -156,10 +150,11 @@ def _reversal_block(op: DenseOperator) -> np.ndarray:
     n = op.grid.n
     h, o = (n + 1) // 2, n // 2
     r = op.column.imag
-    rev = r[::-1]
     d = _endpoint_scale(n)
-    B = toeplitz(r[:h], -r[:o])
-    B += hankel(rev[:h], rev[h - 1:h - 1 + o])
+    # Toeplitz part r[j - k] (with r[-k] = -r[k]) plus Hankel part
+    # r[n - 1 - j - k], each a sliding-window view of the column
+    toeplitz_part = sliding_window_view(np.concatenate((-r[o - 1:0:-1], r[:h])), o)[:, ::-1]
+    B = toeplitz_part + sliding_window_view(r[:0:-1], o)
     B *= d[:h, None]
     B *= d[None, :o]
     if n & 1:
@@ -175,70 +170,9 @@ def dense_spectrum(op: DenseOperator) -> np.ndarray:
     """
     B = _reversal_block(op)
     try:
-        s = svdvals(B, overwrite_a=True, check_finite=False)
+        s = np.linalg.svd(B, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise RuntimeError(
             f"eigensolver failed for n={op.grid.n}, quadrature={op.quadrature!r}: {exc}"
         ) from exc
     return np.sort(np.concatenate((0.5 - s, np.full(op.grid.n - 2 * s.size, 0.5), 0.5 + s)))
-
-
-def _endpoint_log_term(grid: LogEnergyGrid) -> np.ndarray:
-    """L_i = ln((E_i - e_min)/(e_max - E_i)), the PV of int dE'/(E_i - E') on the window.
-
-    At the two endpoints the vanishing log argument is clamped to half the
-    adjacent grid interval.
-    """
-    E = grid.points
-    num = E - E[0]
-    den = E[-1] - E
-    num[0] = 0.5 * (E[1] - E[0])
-    den[-1] = 0.5 * (E[-1] - E[-2])
-    return np.log(num / den)
-
-
-def subtraction_selfterm(grid: LogEnergyGrid) -> np.ndarray:
-    """Residual L_i - S_i of the subtraction rule's principal-value self-term.
-
-    L_i = ln((E_i - e_min)/(e_max - E_i)) is the exact truncated-interval
-    principal value of the bare Cauchy kernel (endpoint-clamped) and S_i its
-    skip-diagonal trapezoidal sum.  The operator omits the corresponding
-    purely imaginary diagonal term -(2 pi i)^{-1} (L_i - S_i); adding it back
-    reproduces the raw subtraction quadrature (see tests).
-
-    S_i = sum_{j != i} w_j / (E_i - E_j) is Toeplitz in i - j, because
-    E_j / (E_i - E_j) = 1 / (e^{(i - j) du} - 1); it is applied to the
-    endpoint-halved weights w_j / (E_j du) by FFT convolution.
-    """
-    k = np.arange(1, grid.n) * grid.du
-    column = np.concatenate(([0.0], 1.0 / np.expm1(k)))
-    row = np.concatenate(([0.0], 1.0 / np.expm1(-k)))
-    S = grid.du * _toeplitz_apply(_circulant_fft(column, row), _endpoint_scale(grid.n) ** 2).real
-    return _endpoint_log_term(grid) - S
-
-
-def pv_cauchy_quadrature(grid: LogEnergyGrid, values: np.ndarray, rule: str) -> np.ndarray:
-    """Independent principal-value quadrature of int values(E')/(E_i - E') dE'.
-
-    Straightforward per-point implementation used as the reference in
-    rearrangement tests; ``rule`` selects the parity rule or the
-    singularity-subtraction form with its analytic log term.
-    """
-    if rule not in QUADRATURES:
-        raise ValueError(f"unknown quadrature {rule!r}; choose from {QUADRATURES}")
-    E = grid.points
-    w = grid.weights
-    n = grid.n
-    f = np.asarray(values, dtype=complex)
-    out = np.empty(n, dtype=complex)
-    if rule == "parity":
-        for i in range(n):
-            j = np.arange(1 - (i % 2), n, 2)  # opposite parity to i
-            out[i] = 2.0 * np.sum(w[j] * f[j] / (E[i] - E[j]))
-        return out
-    # subtraction: regularize with the sampled value, add the analytic log term
-    logterm = _endpoint_log_term(grid)
-    for i in range(n):
-        j = np.delete(np.arange(n), i)
-        out[i] = np.sum(w[j] * (f[j] - f[i]) / (E[i] - E[j])) + f[i] * logterm[i]
-    return out

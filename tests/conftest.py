@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
-from arrowm import make_log_grid, tukey_window
+from arrowm import CHANNELS, make_log_grid, make_state, tukey_window
+from arrowm.operator import QUADRATURES, _circulant_fft, _endpoint_scale, _toeplitz_apply
 
 # Cross-path comparisons need a wide log window: the fast path wraps the
 # operator output around the grid period, so the Toeplitz/circulant mismatch
@@ -68,3 +70,104 @@ def toeplitz_matrix(op):
     A[:, [0, -1]] *= 0.5**0.5
     np.fill_diagonal(A, 0.5)
     return A
+
+
+def zero_state(grid, channels=CHANNELS):
+    return make_state(grid, channels, np.zeros((len(channels), grid.n), dtype=complex))
+
+
+def gaussian_window(grid, sigma, center=None):
+    """Gaussian taper exp(-(u - c)^2 / (2 sigma^2)) on the log grid."""
+    c = grid.center if center is None else center
+    return np.exp(-((grid.log_points - c) ** 2) / (2.0 * sigma**2))
+
+
+def cauchy_kernel(e, e_prime):
+    """Off-diagonal kernel value -(2 pi i)^{-1} / (E - E')."""
+    return -1.0 / (2j * np.pi * (np.asarray(e) - np.asarray(e_prime)))
+
+
+def _endpoint_log_term(grid):
+    """L_i = ln((E_i - e_min)/(e_max - E_i)), the PV of int dE'/(E_i - E') on the window.
+
+    At the two endpoints the vanishing log argument is clamped to half the
+    adjacent grid interval.
+    """
+    E = grid.points
+    num = E - E[0]
+    den = E[-1] - E
+    num[0] = 0.5 * (E[1] - E[0])
+    den[-1] = 0.5 * (E[-1] - E[-2])
+    return np.log(num / den)
+
+
+def subtraction_selfterm(grid):
+    """Residual L_i - S_i of the subtraction rule's principal-value self-term.
+
+    L_i = ln((E_i - e_min)/(e_max - E_i)) is the exact truncated-interval
+    principal value of the bare Cauchy kernel (endpoint-clamped) and S_i its
+    skip-diagonal trapezoidal sum.  The operator omits the corresponding
+    purely imaginary diagonal term -(2 pi i)^{-1} (L_i - S_i); adding it back
+    reproduces the raw subtraction quadrature.
+
+    S_i = sum_{j != i} w_j / (E_i - E_j) is Toeplitz in i - j, because
+    E_j / (E_i - E_j) = 1 / (e^{(i - j) du} - 1); it is applied to the
+    endpoint-halved weights w_j / (E_j du) by FFT convolution.
+    """
+    k = np.arange(1, grid.n) * grid.du
+    column = np.concatenate(([0.0], 1.0 / np.expm1(k)))
+    row = np.concatenate(([0.0], 1.0 / np.expm1(-k)))
+    S = grid.du * _toeplitz_apply(_circulant_fft(column, row), _endpoint_scale(grid.n) ** 2).real
+    return _endpoint_log_term(grid) - S
+
+
+def pv_cauchy_quadrature(grid, values, rule):
+    """Independent principal-value quadrature of int values(E')/(E_i - E') dE'.
+
+    Straightforward per-point implementation used as the reference in
+    rearrangement tests; ``rule`` selects the parity rule or the
+    singularity-subtraction form with its analytic log term.
+    """
+    if rule not in QUADRATURES:
+        raise ValueError(f"unknown quadrature {rule!r}; choose from {QUADRATURES}")
+    E = grid.points
+    w = grid.weights
+    n = grid.n
+    f = np.asarray(values, dtype=complex)
+    out = np.empty(n, dtype=complex)
+    if rule == "parity":
+        for i in range(n):
+            j = np.arange(1 - (i % 2), n, 2)  # opposite parity to i
+            out[i] = 2.0 * np.sum(w[j] * f[j] / (E[i] - E[j]))
+        return out
+    # subtraction: regularize with the sampled value, add the analytic log term
+    logterm = _endpoint_log_term(grid)
+    for i in range(n):
+        j = np.delete(np.arange(n), i)
+        out[i] = np.sum(w[j] * (f[j] - f[i]) / (E[i] - E[j])) + f[i] * logterm[i]
+    return out
+
+
+def completeness_kernel_quadrature(e, e_prime, theta, span=None):
+    """Slow cross-check: numerically integrate the eigenvalue integral over m.
+
+    Substitutes m = (1 + e^{-v})^{-1}, which stretches the integrable endpoint
+    singularities at m = 0, 1 onto exponentially damped tails, then applies
+    adaptive quadrature.  Intended for moderate theta (the v tail decays like
+    e^{-theta v / 2 pi}).
+    """
+    if theta <= 0.0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    y = (theta - 1j * np.log(e / e_prime)) / (2.0 * np.pi)
+    x = 1.0 - y
+    if span is None:
+        span = max(200.0, 2.0 * np.pi * 25.0 / theta)
+
+    def integrand(v):
+        log_m = -np.logaddexp(0.0, -v)
+        log_1m = -np.logaddexp(0.0, v)
+        return np.exp(x * log_m + y * log_1m)
+
+    re = quad(lambda v: integrand(v).real, -span, span, limit=4000)[0]
+    im = quad(lambda v: integrand(v).imag, -span, span, limit=4000)[0]
+    return complex((4.0 * np.pi**2) ** -1 * (e * e_prime) ** -0.5 * (re + 1j * im))

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +78,16 @@ def test_parse_config_count_below_two_reports_line(key):
         with pytest.raises(ScenarioError, match=f"line 2: bad value for '{key}'"):
             parse_config_text(f"grid.n = 512\n{key} = {bad}\n")
     assert parse_config_text(f"{key} = 2\n")[key] == 2
+
+
+FLOAT_KEYS = [key for key, (_, default) in cli.KEYS.items() if isinstance(default, (float, tuple))]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_parse_config_non_finite_float_reports_line(key):
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ScenarioError, match=f"line 2: bad value for '{key}'"):
+            parse_config_text(f"grid.n = 512\n{key} = {bad}\n")
 
 
 def test_sample_configs_parse():
@@ -247,6 +260,7 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     ("fig1", "times.t_start = -1\n"),
     ("evolve", "state.kind = eigenfunction\nstate.m = 1.5\n"),
     ("fig1", "times.steps = 1\n"),
+    ("evolve", "times.steps = 5\nstate.p0 = nan\n"),
 ])
 def test_main_bad_scenario_exits_two_with_one_line(tmp_path, capsys, sub, text):
     cfg = tmp_path / "bad.cfg"
@@ -274,6 +288,35 @@ def test_main_fast_path_accepts_any_grid_size(tmp_path):
     assert summary["grid.n"] == "1000" and summary["path"] == "fast"
     assert float(summary["m_start_fast"]) == pytest.approx(0.5, abs=1e-6)
     assert int(summary["n_monotone_violations_fast"]) == 0
+
+
+_RUN_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises
+from arrowm.cli import main
+cfg, out = sys.argv[1:]
+runs = [["spectrum"], ["fig1", "--path", "both"], ["eigden"], ["fig2"], ["verify"]]
+print([main([*run, "--config", cfg, "--out", f"{out}/{run[0]}"]) for run in runs])
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def python(*args):
+        done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1]
+
+    loaded = "[k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')]"
+    assert python("-c", f"import sys, arrowm.cli; print({loaded})") == "[]"
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("grid.n = 256\ntimes.steps = 5\nframes.times = 2\n"
+                   "frames.x_points = 101\nframes.density_points = 101\noutput.svg = false\n")
+    assert python("-c", _RUN_WITHOUT_SCIPY, str(cfg), str(tmp_path / "o")) == "[0, 0, 0, 0, 0]"
 
 
 def test_main_cli_overrides(tmp_path):

@@ -15,8 +15,8 @@ from arrowm import (
     trajectory,
     windowed_eigenfunction,
 )
-from arrowm.grid import zero_state
-from arrowm.mellin import gaussian_window
+
+from conftest import gaussian_window, zero_state
 
 FIG_PARAMS = GaussianPacketParams(eta=1.0, p0=0.64, xi0=0.3)
 

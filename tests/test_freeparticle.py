@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, ndtr
 
 from arrowm import (
     GaussianPacketParams,
@@ -142,6 +142,20 @@ def test_tail_safety_violation_raises_with_hint():
     assert packet_tail_mass(PARAMS, 1e-6, 50.0) > 1e-8  # ~5.6e-5 folds through E -> 0
     with pytest.raises(ValueError, match="widen"):
         to_energy_state(PARAMS, grid)
+
+
+def test_packet_tail_mass_matches_normal_cdf():
+    # |phi|^2 is a normal density with mean p0 and standard deviation xi0 / sqrt 2
+    for params in (PARAMS, GaussianPacketParams(0.5, -2.0, 0.1),
+                   GaussianPacketParams(3.0, 0.0, 1.0), GaussianPacketParams(1.0, 1.5, 0.3)):
+        def cdf(p):
+            return ndtr((p - params.p0) / (params.xi0 / np.sqrt(2.0)))
+
+        for e_min in (1e-20, 5e-15, 1e-6, 1e-2):
+            for e_max in (0.5, 50.0):
+                lo, hi = np.sqrt(2.0 * params.eta * e_min), np.sqrt(2.0 * params.eta * e_max)
+                expected = cdf(lo) - cdf(-lo) + 1.0 - (cdf(hi) - cdf(-hi))
+                assert abs(packet_tail_mass(params, e_min, e_max) - expected) <= 1e-15
 
 
 def test_evolution_commutes_with_energy_representation():

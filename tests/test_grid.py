@@ -10,7 +10,8 @@ from arrowm import (
     random_smooth_state,
     state_norm,
 )
-from arrowm.grid import zero_state
+
+from conftest import zero_state
 
 
 def test_two_point_grid_hits_endpoints():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit, logit
 
 from arrowm import (
     LogEnergyGrid,
@@ -25,9 +26,7 @@ from arrowm import (
     state_norm,
     windowed_eigenfunction,
 )
-from arrowm.mellin import completeness_kernel_quadrature, gaussian_window
-
-from conftest import interior_residual
+from conftest import completeness_kernel_quadrature, gaussian_window, interior_residual
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +138,7 @@ def test_multiplier_at_zero_frequency():
     assert eigenvalue_of_frequency(0.0) == 0.5
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_multiplier_limits_and_monotonicity():
     assert eigenvalue_of_frequency(40.0) < 1e-50
     assert eigenvalue_of_frequency(-40.0) > 1.0 - 1e-15
@@ -146,11 +146,22 @@ def test_multiplier_limits_and_monotonicity():
     ms = eigenvalue_of_frequency(nus)
     assert np.all((ms > 0.0) & (ms < 1.0))
     assert np.all(np.diff(ms) < 0.0)
+    # against scipy's logistic function, past the overflow of e^{2 pi nu} at nu ~ 113
+    wide = np.linspace(-200.0, 200.0, 40001)
+    ms = eigenvalue_of_frequency(wide)
+    ref = expit(-2.0 * np.pi * wide)
+    big = ref > 1e-300
+    assert np.max(np.abs(ms[big] - ref[big]) / ref[big]) <= 1e-15
+    assert np.all((ms[~big] >= 0.0) & (ms[~big] <= 1e-300))
 
 
 def test_frequency_of_eigenvalue_closed_form():
     # nu(0.8) = ln(1/4) / (2 pi)
     assert frequency_of_eigenvalue(0.8) == pytest.approx(-0.22063560015265605, abs=1e-12)
+    # against scipy's logit, into both tails
+    tail = np.geomspace(1e-12, 0.5, 2001)
+    m = np.concatenate((tail, np.linspace(1e-12, 1.0 - 1e-12, 2001), 1.0 - tail))
+    assert np.max(np.abs(frequency_of_eigenvalue(m) + logit(m) / (2.0 * np.pi))) <= 1e-15
 
 
 def test_eigenvalue_frequency_roundtrip():

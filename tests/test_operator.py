@@ -15,13 +15,20 @@ from arrowm import (
     make_state,
     random_smooth_state,
     state_norm,
-    subtraction_selfterm,
     windowed_eigenfunction,
 )
-from arrowm.grid import zero_state
-from arrowm.operator import _circulant_fft, cauchy_kernel, pv_cauchy_quadrature
+from arrowm.operator import _circulant_fft
 
-from conftest import WIDE_BOUNDS, dense_assembly, interior_residual, toeplitz_matrix
+from conftest import (
+    WIDE_BOUNDS,
+    cauchy_kernel,
+    dense_assembly,
+    interior_residual,
+    pv_cauchy_quadrature,
+    subtraction_selfterm,
+    toeplitz_matrix,
+    zero_state,
+)
 
 
 TOEPLITZ_CASES = [
