@@ -63,15 +63,6 @@ __all__ = ["ScenarioError", "parse_config_text", "run_scenario", "main"]
 # Seed of the random states `verify` checks; its summary records it.
 _VERIFY_SEED = 12345
 
-# glibc's malloc maps blocks above a dynamic threshold (128 KiB at start) with
-# mmap, and trims its heap when more than twice that lies free at the top.
-# A trajectory step allocates and frees a few (channels, n) complex arrays,
-# 128 KiB each at n = 4096, so at the start thresholds every step faults its
-# pages in afresh: about 80 faults per step and 0.3-1 s of a 4000-step fig1.
-# Freeing one untouched 4 MiB block raises both thresholds for the process
-# (they never fall); other allocators are unaffected.
-np.empty(4 << 20, dtype=np.uint8)
-
 
 class ScenarioError(Exception):
     """Configuration or scenario-level failure with a user-facing message."""
@@ -262,9 +253,8 @@ def eigen_density_frame(state, points: int = 801):
     beyond = np.nonzero(tail < 1e-8)[0]
     span_pos = spec.frequencies[beyond[0]] if beyond.size else spec.frequencies[-1]
     span_pos = float(np.clip(span_pos + 2.0, 12.0, 100.0))
-    nu = np.linspace(-5.5, span_pos, points)
+    nu, rho = eigen_density(state, -5.5, span_pos, points)
     m = eigenvalue_of_frequency(nu)
-    rho = eigen_density(state, m)
     covered = float(np.trapezoid(np.sum(rho, axis=0) * frequency_jacobian(m), nu))
     return m, rho, covered, *_moments(spec.frequencies, weight)
 

@@ -91,12 +91,15 @@ def trajectory(
 ) -> Trajectory:
     """Evaluate the expectation along {U(t) psi : t in times}.
 
-    ``times`` must be strictly increasing with times[0] >= 0.  The dense
-    operator is built once when the direct path is requested without one.
+    ``times`` must be finite and strictly increasing with times[0] >= 0.
+    The dense operator is built once when the direct path is requested
+    without one.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("need a one-dimensional list of at least two times")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("times must be strictly increasing")
     if t[0] < 0.0:

@@ -48,6 +48,8 @@ class GaussianPacketParams:
     xi0: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.eta, self.p0, self.xi0))):
+            raise ValueError(f"packet parameters must be finite, got {self}")
         if self.eta <= 0.0:
             raise ValueError(f"mass must be positive, got {self.eta}")
         if self.xi0 <= 0.0:

@@ -17,6 +17,13 @@ and applying the operator multiplies ``chat(nu)`` by m(nu).  The coefficient
 against the delta-normalized eigenfunction family is recovered exactly as
 c(m) = chat(nu(m)) / sqrt(|dm/dnu|), with no extra phase.
 
+The eigenvalue density rho(m) = |chat(nu)|^2 / |dm/dnu| needs chat on a
+finer or shifted frequency lattice than the FFT's.  :func:`eigen_density`
+evaluates the defining sum on any uniform nu lattice, at its points
+exactly, by Bluestein's chirp-z transform: one zero-padded FFT convolution
+with a chirp, in O((n + points) log(n + points)) time and O(n + points)
+memory.
+
 Eigenfunctions are not square integrable; tests window them in u before
 applying either operator path.  The completeness check evaluates the
 closed-form theta-regularized eigenfunction sum (a Beta function collapsing
@@ -24,6 +31,7 @@ to pi / sin) and compares it against the raw Cauchy kernel as theta -> 0+.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,9 +68,12 @@ def eigenvalue_of_frequency(nu):
 
 
 def frequency_of_eigenvalue(m):
-    """Inverse map nu(m) = (2 pi)^{-1} ln((1 - m)/m); domain error outside (0, 1)."""
+    """Inverse map nu(m) = (2 pi)^{-1} ln((1 - m)/m); domain error outside (0, 1).
+
+    NaN lies outside (0, 1) too.
+    """
     m = np.asarray(m, dtype=float)
-    if np.any(m <= 0.0) or np.any(m >= 1.0):
+    if not np.all((m > 0.0) & (m < 1.0)):
         raise ValueError("eigenvalue must lie strictly inside (0, 1)")
     return (np.log1p(-m) - np.log(m)) / (2.0 * np.pi)
 
@@ -145,28 +156,73 @@ def apply_m_fast(state: EnergyState) -> EnergyState:
     return inverse_mellin(MellinSpectrum(spec.grid, spec.channels, scaled))
 
 
-def eigen_density(state: EnergyState, m_grid) -> np.ndarray:
-    """Per-channel density rho_lambda(m) = |chat(nu(m))|^2 / |dm/dnu|.
+def eigen_density(state: EnergyState, nu_start: float, nu_stop: float, points: int):
+    """(nu, rho): per-channel density rho_lambda = |chat(nu_k)|^2 / |dm/dnu| at m(nu_k).
 
-    ``chat`` is evaluated at arbitrary frequencies by the trigonometric
-    (band-limited) interpolant, i.e. the defining sum over the u grid.
-    Returns an array of shape (n_channels, len(m_grid)).
+    The lattice is nu_k = nu_start + k dnu, k = 0 .. points - 1, and
+    ``chat`` is the defining sum over the u grid (the band-limited
+    interpolant of :func:`forward_mellin`), evaluated at nu_k exactly by
+    Bluestein's chirp-z transform.  With u_j = u_0 + j du and a = dnu du / 2,
+
+        nu_k u_j = nu_k u_0 + nu_start j du + a (k^2 + j^2 - (k - j)^2),
+
+    so the sum over j is one linear convolution with the chirp e^{-i a m^2},
+    m = -(n - 1) .. points - 1, done by a zero-padded FFT.  Each integer
+    square is formed exactly in int64, and :func:`_chirp` reduces its phase
+    modulo 2 pi before a q is rounded.  Returns nu and rho of shape
+    (n_channels, points).  Raises ValueError on non-finite bounds,
+    nu_start >= nu_stop, fewer than 2 points, or bounds whose m(nu) rounds
+    to 0 or 1.
     """
-    m_grid = np.atleast_1d(np.asarray(m_grid, dtype=float))
-    nu = frequency_of_eigenvalue(m_grid)  # validates (0, 1)
+    if not (np.isfinite(nu_start) and np.isfinite(nu_stop)):
+        raise ValueError(f"frequency bounds must be finite, got [{nu_start}, {nu_stop}]")
+    if not nu_start < nu_stop:
+        raise ValueError(f"need nu_start < nu_stop, got [{nu_start}, {nu_stop}]")
+    if points < 2 or points != int(points):
+        raise ValueError(f"need a whole number of at least 2 points, got {points}")
+    points = int(points)
+    nu = np.linspace(nu_start, nu_stop, points)
+    m = eigenvalue_of_frequency(nu)
+    if not (m[0] < 1.0 and m[-1] > 0.0):
+        raise ValueError(
+            f"eigenvalues m(nu) on [{nu_start}, {nu_stop}] must lie strictly inside (0, 1)"
+        )
     grid = state.grid
-    u = grid.log_points
-    F = np.exp(0.5 * u) * state.amplitudes
-    jac = frequency_jacobian(m_grid)
-    rho = np.empty((len(state.channels), m_grid.size))
-    chunk = 512
-    pref = (2.0 * np.pi) ** -0.5 * grid.du
-    for start in range(0, m_grid.size, chunk):
-        sl = slice(start, min(start + chunk, m_grid.size))
-        kernel = np.exp(1j * np.outer(nu[sl], u))
-        chat = pref * (kernel @ F.T).T
-        rho[:, sl] = np.abs(chat) ** 2 / jac[sl]
-    return rho
+    n = grid.n
+    turns = 0.25 * (nu_stop - nu_start) / (points - 1) * grid.du / np.pi  # a / (2 pi)
+    j = np.arange(n)
+    k = np.arange(points)
+    lag = np.arange(-(n - 1), points)
+    F = np.exp(0.5 * grid.log_points) * state.amplitudes
+    h = F * np.exp(1j * nu_start * grid.du * j) * _chirp(turns, j * j)
+    size = 1 << (n + points - 2).bit_length()  # a power of two >= n + points - 1
+    conv = np.fft.ifft(
+        np.fft.fft(h, size, axis=-1) * np.fft.fft(_chirp(-turns, lag * lag), size),
+        axis=-1,
+    )[:, n - 1 : n - 1 + points]
+    chat = (
+        (2.0 * np.pi) ** -0.5
+        * grid.du
+        * np.exp(1j * nu * grid.log_points[0])
+        * _chirp(turns, k * k)
+        * conv
+    )
+    return nu, np.abs(chat) ** 2 / frequency_jacobian(m)
+
+
+def _chirp(turns: float, squares: np.ndarray) -> np.ndarray:
+    """e^{2 pi i turns q} for integers q >= 0, reduced modulo one turn before rounding.
+
+    turns * q reaches millions of turns when dnu is coarse (two points at
+    n = 16384), and one rounding of that product then costs 1e-9 rad.  So
+    split turns = hi + lo, with hi short enough that hi * q is exact: the
+    fractional part of hi * q is exact too, and lo * q is small.
+    """
+    bits = 53 - int(squares.max()).bit_length()
+    mantissa, exponent = math.frexp(turns)
+    hi = math.ldexp(round(math.ldexp(mantissa, bits)), exponent - bits)
+    whole = hi * squares
+    return np.exp(2j * np.pi * ((whole - np.floor(whole)) + (turns - hi) * squares))
 
 
 def eigen_density_moments(state: EnergyState) -> tuple[float, float]:

@@ -72,6 +72,26 @@ def toeplitz_matrix(op):
     return A
 
 
+def mellin_ndft(state, nu):
+    """chat(nu) at arbitrary frequencies: the defining sum over the u grid, as a dense NDFT.
+
+    The nonuniform DFT (2 pi)^{-1/2} sum_j du e^{i nu u_j} e^{u_j/2} f(E_j),
+    built in chunks of 512 frequencies; shape (n_channels, len(nu)).
+    """
+    nu = np.atleast_1d(np.asarray(nu, dtype=float))
+    grid = state.grid
+    u = grid.log_points
+    F = np.exp(0.5 * u) * state.amplitudes
+    chat = np.empty((len(state.channels), nu.size), dtype=complex)
+    chunk = 512
+    pref = (2.0 * np.pi) ** -0.5 * grid.du
+    for start in range(0, nu.size, chunk):
+        sl = slice(start, min(start + chunk, nu.size))
+        kernel = np.exp(1j * np.outer(nu[sl], u))
+        chat[:, sl] = pref * (kernel @ F.T).T
+    return chat
+
+
 def zero_state(grid, channels=CHANNELS):
     return make_state(grid, channels, np.zeros((len(channels), grid.n), dtype=complex))
 

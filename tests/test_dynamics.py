@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import arrowm
 from arrowm import (
     GaussianPacketParams,
     build_dense_m,
@@ -98,6 +104,43 @@ def test_trajectory_rejects_bad_time_grids(rng):
         trajectory(f, [-1.0, 0.5])
     with pytest.raises(ValueError):
         trajectory(f, [1.0])
+    for bad in ([0.0, np.nan], [np.nan, 1.0], [0.0, np.inf], [0.0, 1.0, np.nan, 3.0]):
+        with pytest.raises(ValueError, match="finite"):
+            trajectory(f, bad)
+
+
+# A 200-step fast trajectory at n = 4096 in a fresh process that imports the
+# library alone (no cli, no scipy), reporting its minor page faults.
+_LIBRARY_TRAJECTORY = """
+import resource, sys
+import numpy as np
+import arrowm
+assert "arrowm.cli" not in sys.modules and "scipy" not in sys.modules
+state = arrowm.normalize_state(arrowm.to_energy_state(
+    arrowm.GaussianPacketParams(1.0, 0.64, 0.3), arrowm.make_log_grid(5e-15, 50.0, 4096)))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+arrowm.trajectory(state, np.linspace(0.0, 32.0, 200))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc thresholds")
+def test_library_trajectory_does_not_fault_per_step():
+    # Without the 4 MiB block freed at `import arrowm`, glibc's start-up
+    # thresholds make every step fault its arrays in afresh: about 16000
+    # faults for this run, against about 120 with the block.  Whether the
+    # start-up thresholds fault depends on the heap layout, which shifts with
+    # the size of the environment (one padding in eight ran clean without the
+    # block), so the run repeats at three paddings.
+    src = str(Path(arrowm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for pad in (0, 256, 4096):
+        done = subprocess.run([sys.executable, "-c", _LIBRARY_TRAJECTORY],
+                              env={**env, "ARROWM_TEST_PAD": "x" * pad},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.splitlines()[-1]) <= 1000, pad
 
 
 def test_trajectory_values_bounded_and_decreasing_for_packet():

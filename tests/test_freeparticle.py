@@ -39,6 +39,10 @@ def test_params_validation():
         GaussianPacketParams(eta=0.0, p0=0.1, xi0=0.3)
     with pytest.raises(ValueError):
         GaussianPacketParams(eta=1.0, p0=0.1, xi0=-0.3)
+    for field in ("eta", "p0", "xi0"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                GaussianPacketParams(**{"eta": 1.0, "p0": 0.64, "xi0": 0.3, field: bad})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit, logit
 
 from arrowm import (
+    GaussianPacketParams,
     LogEnergyGrid,
     MellinSpectrum,
     apply_m_direct,
@@ -12,6 +15,7 @@ from arrowm import (
     eigen_density,
     eigen_density_moments,
     eigenvalue_of_frequency,
+    evolve,
     expectation_m,
     forward_mellin,
     frequency_grid,
@@ -24,9 +28,15 @@ from arrowm import (
     random_smooth_state,
     sample_eigenfunction,
     state_norm,
+    to_energy_state,
     windowed_eigenfunction,
 )
-from conftest import completeness_kernel_quadrature, gaussian_window, interior_residual
+from conftest import (
+    completeness_kernel_quadrature,
+    gaussian_window,
+    interior_residual,
+    mellin_ndft,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +181,7 @@ def test_eigenvalue_frequency_roundtrip():
 
 
 def test_frequency_of_eigenvalue_domain_errors():
-    for bad in (0.0, 1.0, -0.2, 1.7):
+    for bad in (0.0, 1.0, -0.2, 1.7, np.nan, np.inf, -np.inf, [0.5, np.nan]):
         with pytest.raises(ValueError):
             frequency_of_eigenvalue(bad)
 
@@ -220,12 +230,52 @@ def test_eigen_density_total_mass(rng, wide_grid):
 def test_eigen_density_peaks_at_construction_eigenvalue():
     g = make_log_grid(np.exp(-60.0), np.exp(60.0), 4096)
     state = normalize_state(windowed_eigenfunction(g, 0.5, "+", gaussian_window(g, 12.0)))
-    nu_grid = np.linspace(-2.0, 2.0, 401)
+    nu_grid, rho = eigen_density(state, -2.0, 2.0, 401)
     m_grid = eigenvalue_of_frequency(nu_grid)
-    rho = eigen_density(state, m_grid)
     peak_m = m_grid[np.argmax(rho[0])]
     cell = np.max(np.abs(np.diff(m_grid)))
     assert abs(peak_m - 0.5) <= cell
+
+
+def _density_states(n):
+    """The fig2 packet at t = 2 and t = 32 on the fig2 window, and a random smooth state."""
+    g = make_log_grid(5e-15, 50.0, n)
+    packet = normalize_state(to_energy_state(GaussianPacketParams(1.0, 0.64, 0.3), g))
+    rng = np.random.default_rng(n)
+    return {"packet_t2": evolve(packet, 2.0), "packet_t32": evolve(packet, 32.0),
+            "random": random_smooth_state(make_log_grid(1e-3, 1e3, n), rng)}
+
+
+@pytest.mark.parametrize("n", [257, 1000, 4096])
+@pytest.mark.parametrize("which", ["packet_t2", "packet_t32", "random"])
+def test_eigen_density_matches_ndft(n, which):
+    # rho * |dm/dnu| = |chat|^2 against the defining sum at the same nu.  Two
+    # or three points may all lie in the tails, where the frame's own peak is
+    # roundoff-sized, so the scale is the state's peak |chat|^2 on the FFT
+    # lattice.  rho itself is not compared pointwise: 1/(2 pi m (1 - m))
+    # amplifies roundoff at the m -> 0 tail.
+    state = _density_states(n)[which]
+    peak = np.max(np.abs(forward_mellin(state).coefficients) ** 2)
+    for points in (2, 3, 801):
+        for nu_max in (12.0, 100.0):
+            nu, rho = eigen_density(state, -5.5, nu_max, points)
+            assert nu.shape == (points,) and rho.shape == (2, points)
+            assert nu[0] == -5.5 and nu[-1] == nu_max
+            weight = rho * frequency_jacobian(eigenvalue_of_frequency(nu))
+            exact = np.abs(mellin_ndft(state, nu)) ** 2
+            assert np.max(np.abs(weight - exact)) <= 1e-12 * peak, (points, nu_max)
+
+
+def test_eigen_density_frame_memory_far_below_ndft():
+    # the NDFT oracle builds 512 x n complex kernel chunks: 33.5 MB at n = 4096
+    state = _density_states(4096)["packet_t2"]
+    tracemalloc.start()
+    try:
+        eigen_density(state, -5.5, 100.0, 801)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_eigen_density_first_moment_matches_dense_path(rng, wide_grid):
@@ -238,10 +288,24 @@ def test_eigen_density_first_moment_matches_dense_path(rng, wide_grid):
 
 
 def test_eigen_density_rejects_eigenvalues_outside_unit_interval(rng, wide_grid):
+    # m(nu) rounds to 1 below nu of about -5.9 and to 0 above about 113
     f = random_smooth_state(wide_grid, rng)
-    for bad in ([0.0, 0.5], [0.5, 1.0], [-0.1], [1.1]):
-        with pytest.raises(ValueError):
-            eigen_density(f, bad)
+    for bad in ((-7.0, 0.0), (0.0, 120.0), (-7.0, 120.0)):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            eigen_density(f, *bad, 11)
+
+
+def test_eigen_density_rejects_non_finite_bounds_and_bad_lattices(rng, wide_grid):
+    f = random_smooth_state(wide_grid, rng)
+    for bounds in ((np.nan, 0.0), (0.0, np.nan), (-np.inf, 0.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            eigen_density(f, *bounds, 11)
+    for bounds in ((1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="nu_start < nu_stop"):
+            eigen_density(f, *bounds, 11)
+    for points in (1, 0, -3, 2.5):
+        with pytest.raises(ValueError, match="points"):
+            eigen_density(f, -1.0, 1.0, points)
 
 
 # ---------------------------------------------------------------------------
