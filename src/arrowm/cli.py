@@ -256,7 +256,7 @@ def eigen_density_frame(state, points: int = 801):
     nu, rho = eigen_density(state, -5.5, span_pos, points)
     m = eigenvalue_of_frequency(nu)
     covered = float(np.trapezoid(np.sum(rho, axis=0) * frequency_jacobian(m), nu))
-    return m, rho, covered, *_moments(spec.frequencies, weight)
+    return m, rho, covered, *_moments(spec.grid, weight)
 
 
 def _write_density_frame(out: Path, stem: str, t: float, m, rho, svg: bool) -> None:

@@ -21,6 +21,7 @@ __all__ = ["Trajectory", "evolve", "expectation_m", "trajectory", "MONOTONE_TOL"
 MONOTONE_TOL = 1e-8
 _IMAG_TOL = 1e-10
 PATHS = ("fast", "direct")
+_ZERO_STATE = "expectation of the zero state is undefined"
 
 
 def evolve(state: EnergyState, t: float) -> EnergyState:
@@ -40,16 +41,20 @@ def expectation_m(
     guaranteed to lie in (0, 1).  The direct path contracts the sampled
     Cauchy-kernel operator with the grid inner product and raises if an
     imaginary part beyond 1e-10 appears (an asymmetry bug would surface here
-    rather than be hidden by symmetrization).  Raises on the zero state.
+    rather than be hidden by symmetrization).  Raises on the zero state: the
+    fast path reads it off the density's mass, the direct path off the norm
+    it divides by.
     """
-    nrm2 = state_norm(state) ** 2
-    if nrm2 == 0.0:
-        raise ValueError("expectation of the zero state is undefined")
     if path == "fast":
         mass, first = eigen_density_moments(state)
+        if mass == 0.0:
+            raise ValueError(_ZERO_STATE)
         return first / mass
     if path != "direct":
         raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
+    nrm2 = state_norm(state) ** 2
+    if nrm2 == 0.0:
+        raise ValueError(_ZERO_STATE)
     if operator is None:
         operator = build_dense_m(state.grid)
     q = inner_product(state, apply_m_direct(state, operator))

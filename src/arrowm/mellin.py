@@ -24,6 +24,12 @@ exactly, by Bluestein's chirp-z transform: one zero-padded FFT convolution
 with a chirp, in O((n + points) log(n + points)) time and O(n + points)
 memory.
 
+Every factor of the transforms that depends on the grid alone (e^{+-u/2},
+the forward prefactor and inverse phase, the frequency lattice and m(nu) on
+it) is computed once per grid and kept, read-only, for the 16 most recently
+used grids.  Each is formed by the same operations in the same order as an
+inline computation, so cached results are bit-identical to uncached ones.
+
 Eigenfunctions are not square integrable; tests window them in u before
 applying either operator path.  The completeness check evaluates the
 closed-form theta-regularized eigenfunction sum (a Beta function collapsing
@@ -34,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,15 +91,42 @@ def frequency_jacobian(m):
     return 2.0 * np.pi * m * (1.0 - m)
 
 
+class _GridFactors(NamedTuple):
+    """The transform pair's factors that depend on the grid alone."""
+
+    half: np.ndarray  # e^{u_i/2}
+    inverse_half: np.ndarray  # e^{-u_i/2}
+    forward: np.ndarray  # (2 pi)^{-1/2} du e^{i nu_k u_0} n, FFT order
+    inverse_phase: np.ndarray  # e^{-i nu_k u_0}, FFT order
+    frequencies: np.ndarray  # ascending nu_k
+    multiplier: np.ndarray  # m(nu_k) on the ascending lattice
+
+
 @lru_cache(maxsize=16)
-def _fft_frequencies(grid: LogEnergyGrid) -> np.ndarray:
-    """Frequencies nu_k in FFT order, computed once per grid."""
-    return _readonly(2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.du))
+def _grid_factors(grid: LogEnergyGrid) -> _GridFactors:
+    """Every grid-only factor of the transforms, computed once per grid, read-only.
+
+    Each array is formed by the operations, in the order, that the
+    transforms would apply inline, so the cached values are bit-identical to
+    recomputing them per call.
+    """
+    u = grid.log_points
+    nu = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.du)
+    frequencies = np.fft.fftshift(nu)
+    factors = _GridFactors(
+        half=np.exp(0.5 * u),
+        inverse_half=np.exp(-0.5 * u),
+        forward=(2.0 * np.pi) ** -0.5 * grid.du * np.exp(1j * nu * u[0]) * grid.n,
+        inverse_phase=np.exp(-1j * nu * u[0]),
+        frequencies=frequencies,
+        multiplier=eigenvalue_of_frequency(frequencies),
+    )
+    return _GridFactors(*map(_readonly, factors))
 
 
 def frequency_grid(grid: LogEnergyGrid) -> np.ndarray:
-    """Ascending frequencies nu_k on [-nu_max, nu_max), spacing 2 pi/(n du)."""
-    return np.fft.fftshift(_fft_frequencies(grid))
+    """Ascending frequencies nu_k on [-nu_max, nu_max), spacing 2 pi/(n du); read-only."""
+    return _grid_factors(grid).frequencies
 
 
 @dataclass(frozen=True)
@@ -122,15 +156,8 @@ def spectral_weight(spec: MellinSpectrum) -> np.ndarray:
 def forward_mellin(state: EnergyState) -> MellinSpectrum:
     """Coefficients chat(nu_k) = (2 pi)^{-1/2} sum_i du e^{i nu u_i} e^{u_i/2} f(E_i)."""
     grid = state.grid
-    u = grid.log_points
-    F = np.exp(0.5 * u) * state.amplitudes
-    chat = (
-        (2.0 * np.pi) ** -0.5
-        * grid.du
-        * np.exp(1j * _fft_frequencies(grid) * u[0])
-        * grid.n
-        * np.fft.ifft(F, axis=-1)
-    )
+    factors = _grid_factors(grid)
+    chat = factors.forward * np.fft.ifft(factors.half * state.amplitudes, axis=-1)
     return MellinSpectrum(
         grid=grid,
         channels=state.channels,
@@ -140,19 +167,16 @@ def forward_mellin(state: EnergyState) -> MellinSpectrum:
 
 def inverse_mellin(spec: MellinSpectrum) -> EnergyState:
     """Exact inverse of :func:`forward_mellin` (plain FFT pair, roundoff only)."""
-    grid = spec.grid
-    u = grid.log_points
+    factors = _grid_factors(spec.grid)
     chat = np.fft.ifftshift(spec.coefficients, axes=-1)
-    F = (2.0 * np.pi) ** -0.5 * spec.dnu * np.fft.fft(
-        chat * np.exp(-1j * _fft_frequencies(grid) * u[0]), axis=-1
-    )
-    return make_state(grid, spec.channels, np.exp(-0.5 * u) * F)
+    F = (2.0 * np.pi) ** -0.5 * spec.dnu * np.fft.fft(chat * factors.inverse_phase, axis=-1)
+    return make_state(spec.grid, spec.channels, factors.inverse_half * F)
 
 
 def apply_m_fast(state: EnergyState) -> EnergyState:
     """Apply the operator as multiplication by m(nu) in coefficient space."""
     spec = forward_mellin(state)
-    scaled = spec.coefficients * eigenvalue_of_frequency(spec.frequencies)
+    scaled = spec.coefficients * _grid_factors(spec.grid).multiplier
     return inverse_mellin(MellinSpectrum(spec.grid, spec.channels, scaled))
 
 
@@ -193,7 +217,7 @@ def eigen_density(state: EnergyState, nu_start: float, nu_stop: float, points: i
     j = np.arange(n)
     k = np.arange(points)
     lag = np.arange(-(n - 1), points)
-    F = np.exp(0.5 * grid.log_points) * state.amplitudes
+    F = _grid_factors(grid).half * state.amplitudes
     h = F * np.exp(1j * nu_start * grid.du * j) * _chirp(turns, j * j)
     size = 1 << (n + points - 2).bit_length()  # a power of two >= n + points - 1
     conv = np.fft.ifft(
@@ -233,12 +257,12 @@ def eigen_density_moments(state: EnergyState) -> tuple[float, float]:
     discrete coefficient grid.
     """
     spec = forward_mellin(state)
-    return _moments(spec.frequencies, spectral_weight(spec))
+    return _moments(spec.grid, spectral_weight(spec))
 
 
-def _moments(frequencies: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
+def _moments(grid: LogEnergyGrid, weight: np.ndarray) -> tuple[float, float]:
     """(sum of weight, sum of m(nu) * weight) for a :func:`spectral_weight` array."""
-    first = np.sum(eigenvalue_of_frequency(frequencies) * weight)
+    first = np.sum(_grid_factors(grid).multiplier * weight)
     return float(np.sum(weight)), float(first)
 
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
-from arrowm import CHANNELS, make_log_grid, make_state, tukey_window
+from arrowm import CHANNELS, eigenvalue_of_frequency, make_log_grid, make_state, tukey_window
 from arrowm.operator import QUADRATURES, _circulant_fft, _endpoint_scale, _toeplitz_apply
 
 # Cross-path comparisons need a wide log window: the fast path wraps the
@@ -90,6 +90,60 @@ def mellin_ndft(state, nu):
         kernel = np.exp(1j * np.outer(nu[sl], u))
         chat[:, sl] = pref * (kernel @ F.T).T
     return chat
+
+
+# Uncached oracles of the fast path: the transform formulas with every
+# grid-only factor recomputed inline, in the order the library multiplies
+# them, so the library's cached factors must reproduce them bit for bit.
+
+
+def _fft_order_frequencies(grid):
+    return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.du)
+
+
+def forward_mellin_oracle(state):
+    """Coefficients of ``forward_mellin(state)``, ascending frequency."""
+    grid = state.grid
+    u = grid.log_points
+    F = np.exp(0.5 * u) * state.amplitudes
+    chat = (
+        (2.0 * np.pi) ** -0.5
+        * grid.du
+        * np.exp(1j * _fft_order_frequencies(grid) * u[0])
+        * grid.n
+        * np.fft.ifft(F, axis=-1)
+    )
+    return np.fft.fftshift(chat, axes=-1)
+
+
+def inverse_mellin_oracle(grid, coefficients):
+    """Amplitudes of ``inverse_mellin`` for ascending-frequency coefficients."""
+    u = grid.log_points
+    dnu = 2.0 * np.pi / (grid.n * grid.du)
+    chat = np.fft.ifftshift(coefficients, axes=-1)
+    F = (2.0 * np.pi) ** -0.5 * dnu * np.fft.fft(
+        chat * np.exp(-1j * _fft_order_frequencies(grid) * u[0]), axis=-1
+    )
+    return np.exp(-0.5 * u) * F
+
+
+def _multiplier_oracle(grid):
+    return eigenvalue_of_frequency(np.fft.fftshift(_fft_order_frequencies(grid)))
+
+
+def apply_m_fast_oracle(state):
+    """Amplitudes of ``apply_m_fast(state)``."""
+    scaled = forward_mellin_oracle(state) * _multiplier_oracle(state.grid)
+    return inverse_mellin_oracle(state.grid, scaled)
+
+
+def eigen_density_moments_oracle(state):
+    """``eigen_density_moments(state)``: (mass, first moment)."""
+    grid = state.grid
+    dnu = 2.0 * np.pi / (grid.n * grid.du)
+    weight = np.sum(np.abs(forward_mellin_oracle(state)) ** 2, axis=0) * dnu
+    first = np.sum(_multiplier_oracle(grid) * weight)
+    return float(np.sum(weight)), float(first)
 
 
 def zero_state(grid, channels=CHANNELS):

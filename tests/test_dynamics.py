@@ -22,6 +22,7 @@ from arrowm import (
     windowed_eigenfunction,
 )
 
+from arrowm.mellin import _grid_factors
 from conftest import gaussian_window, zero_state
 
 FIG_PARAMS = GaussianPacketParams(eta=1.0, p0=0.64, xi0=0.3)
@@ -85,6 +86,36 @@ def test_expectation_zero_state_raises():
     g = make_log_grid(1e-2, 1e2, 64)
     with pytest.raises(ValueError):
         expectation_m(zero_state(g))
+
+
+def test_trajectory_zero_state_raises():
+    g = make_log_grid(1e-2, 1e2, 64)
+    for path in ("fast", "direct"):
+        with pytest.raises(ValueError, match="zero state"):
+            trajectory(zero_state(g), [0.0, 1.0], path=path)
+
+
+def test_trajectory_builds_grid_factors_once(monkeypatch, rng):
+    calls = []
+    multiplier = arrowm.mellin.eigenvalue_of_frequency
+
+    def counted(nu):
+        calls.append(nu)
+        return multiplier(nu)
+
+    monkeypatch.setattr(arrowm.mellin, "eigenvalue_of_frequency", counted)
+    _grid_factors.cache_clear()
+    f = random_smooth_state(make_log_grid(1e-3, 1e3, 256), rng)
+    trajectory(f, np.linspace(0.0, 5.0, 50))
+    assert _grid_factors.cache_info().misses <= 1
+    assert len(calls) <= 1
+
+
+def test_trajectory_is_expectation_along_the_orbit(rng):
+    f = random_smooth_state(make_log_grid(1e-3, 1e3, 256), rng)
+    times = np.linspace(0.0, 5.0, 20)
+    expected = [expectation_m(evolve(f, t)) for t in times]
+    assert np.array_equal(trajectory(f, times).values, expected)
 
 
 def test_expectation_unknown_path_raises(rng):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, logit
 
 from arrowm import (
@@ -31,10 +33,17 @@ from arrowm import (
     to_energy_state,
     windowed_eigenfunction,
 )
+from arrowm.grid import CHANNELS
+from arrowm.mellin import _grid_factors
 from conftest import (
+    WIDE_BOUNDS,
+    apply_m_fast_oracle,
     completeness_kernel_quadrature,
+    eigen_density_moments_oracle,
+    forward_mellin_oracle,
     gaussian_window,
     interior_residual,
+    inverse_mellin_oracle,
     mellin_ndft,
 )
 
@@ -138,6 +147,66 @@ def test_inverse_rejects_mismatched_frequencies(rng, wide_grid):
             coefficients=spec.coefficients,
         )
     assert np.array_equal(np.sort(spec.frequencies), frequency_grid(wide_grid))
+
+
+# ---------------------------------------------------------------------------
+# per-grid factor cache
+
+
+@pytest.mark.parametrize("n", [2, 257, 4096])
+@pytest.mark.parametrize("bounds", [(5e-15, 50.0), WIDE_BOUNDS], ids=["fig1", "wide"])
+@pytest.mark.parametrize("kind", ["random", "packet"])
+def test_cached_factors_reproduce_uncached_transforms_bit_for_bit(n, bounds, kind, rng):
+    grid = make_log_grid(*bounds, n)
+    if kind == "packet":
+        f = normalize_state(to_energy_state(GaussianPacketParams(1.0, 0.64, 0.3), grid))
+    else:
+        # bumps wide enough to reach the edges: at n = 2 on the wide window
+        # the default widths leave only the zero state
+        f = random_smooth_state(grid, rng, sigma_range=(0.1 * grid.span, 0.2 * grid.span))
+    spec = forward_mellin(f)
+    assert np.array_equal(spec.coefficients, forward_mellin_oracle(f))
+    assert np.array_equal(inverse_mellin(spec).amplitudes,
+                          inverse_mellin_oracle(grid, spec.coefficients))
+    assert np.array_equal(apply_m_fast(f).amplitudes, apply_m_fast_oracle(f))
+    assert eigen_density_moments(f) == eigen_density_moments_oracle(f)
+
+
+def test_cached_factors_are_read_only():
+    grid = make_log_grid(1e-3, 1e3, 64)
+    for a in (*_grid_factors(grid), frequency_grid(grid)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_factor_cache_evicts_and_recomputes_exactly():
+    # more distinct grids than the cache holds, so entries are evicted and rebuilt
+    grids = set()
+    misses = _grid_factors.cache_info().misses
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        log_e_min=st.floats(-22.0, 2.0),
+        decades=st.floats(0.5, 43.0),
+        n=st.integers(3, 4096),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(log_e_min, decades, n, seed):
+        grid = make_log_grid(10.0**log_e_min, 10.0 ** (log_e_min + decades), n)
+        grids.add(grid)
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        # the FFT's Parseval sum gives full weight to the points the
+        # trapezoidal norm halves, so the state vanishes there
+        amps[:, [0, -1]] = 0.0
+        f = make_state(grid, CHANNELS, amps)
+        assert np.array_equal(forward_mellin(f).coefficients, forward_mellin_oracle(f))
+        mass, _ = eigen_density_moments(f)
+        assert mass == pytest.approx(state_norm(f) ** 2, rel=1e-12, abs=0.0)
+
+    check()
+    assert len(grids) > _grid_factors.cache_info().maxsize
+    assert _grid_factors.cache_info().misses - misses >= len(grids)
 
 
 # ---------------------------------------------------------------------------
