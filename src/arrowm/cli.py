@@ -238,7 +238,7 @@ def build_scenario_state(cfg: dict, grid):
 
 
 def eigen_density_frame(state, points: int = 801):
-    """(m, rho, covered_mass, mass, first_moment) on a frequency-uniform m grid.
+    """(nu, m, rho, covered_mass, mass, first_moment) on a frequency-uniform m grid.
 
     The negative-frequency edge is pinned at -5.5 because eigenvalues closer
     to 1 than about 1e-15 are not representable in double precision; the
@@ -256,11 +256,13 @@ def eigen_density_frame(state, points: int = 801):
     nu, rho = eigen_density(state, -5.5, span_pos, points)
     m = eigenvalue_of_frequency(nu)
     covered = float(np.trapezoid(np.sum(rho, axis=0) * frequency_jacobian(m), nu))
-    return m, rho, covered, *_moments(spec.grid, weight)
+    mass, first = _moments(spec.grid, weight)
+    return nu, m, rho, covered, float(mass), float(first)
 
 
-def _write_density_frame(out: Path, stem: str, t: float, m, rho, svg: bool) -> None:
-    write_csv(out / f"{stem}.csv", ("m", "rho_plus", "rho_minus"), zip(m, rho[0], rho[1]))
+def _write_density_frame(out: Path, stem: str, t: float, nu, m, rho, svg: bool) -> None:
+    write_csv(out / f"{stem}.csv", ("m", "rho_plus", "rho_minus", "nu"),
+              zip(m, rho[0], rho[1], nu))
     if svg:
         # rho(m) has integrable spikes at the interval edges (the change of
         # variables amplifies coefficient tails by 1/(2 pi m (1 - m))); plot the
@@ -352,10 +354,10 @@ def run_eigden(cfg: dict, out: Path) -> dict:
     state = build_scenario_state(cfg, grid)
     t = cfg["density.time"]
     t0 = time.perf_counter()
-    m, rho, covered, mass, first = eigen_density_frame(
+    nu, m, rho, covered, mass, first = eigen_density_frame(
         evolve(state, t), points=cfg["frames.density_points"])
     t1 = time.perf_counter()
-    _write_density_frame(out, "eigen_density", t, m, rho, cfg["output.svg"])
+    _write_density_frame(out, "eigen_density", t, nu, m, rho, cfg["output.svg"])
     return {
         "time": t,
         "grid.e_min": cfg["grid.e_min"], "grid.e_max": cfg["grid.e_max"], "grid.n": cfg["grid.n"],
@@ -387,9 +389,9 @@ def run_fig2(cfg: dict, out: Path) -> dict:
         if cfg["output.svg"]:
             write_line_plot(out / f"position_density_{k:02d}.svg", x, {"density": dens},
                             title=f"|psi(x, t)|^2 at t = {t:g}", xlabel="x", ylabel="density")
-        m, rho, covered, mass, first = eigen_density_frame(
+        nu, m, rho, covered, mass, first = eigen_density_frame(
             evolve(state, t), points=cfg["frames.density_points"])
-        _write_density_frame(out, f"eigen_density_{k:02d}", t, m, rho, cfg["output.svg"])
+        _write_density_frame(out, f"eigen_density_{k:02d}", t, nu, m, rho, cfg["output.svg"])
         mass_x = float(np.trapezoid(dens, x))
         mean_x = float(np.trapezoid(x * dens, x) / mass_x)
         var_x = float(np.trapezoid((x - mean_x) ** 2 * dens, x) / mass_x)

@@ -5,15 +5,24 @@ energy units), so any time is reachable in a single step.  The expectation of
 the time-ordering operator along an orbit is evaluated with either the direct
 Cauchy-kernel path or the fast diagonalized path, and trajectories record any
 increase beyond the monotonicity tolerance.
+
+A fast trajectory evolves and transforms its times in blocks, each block one
+batched pass of numpy work on a workspace allocated once per call, and deals
+the blocks round-robin to one thread per usable CPU (the calling thread is
+one of them).  Every operation is the per-time one applied elementwise or
+row by row, in the same order, so the values are bit-identical to
+``expectation_m(evolve(state, t))`` at each time, whatever the CPU count.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import EnergyState, inner_product, make_state, state_norm
-from .mellin import eigen_density_moments
+from .grid import EnergyState, _own_state, inner_product, state_norm
+from .mellin import _block_moments, _grid_factors, eigen_density_moments
 from .operator import DenseOperator, apply_m_direct, build_dense_m
 
 __all__ = ["Trajectory", "evolve", "expectation_m", "trajectory", "MONOTONE_TOL"]
@@ -23,11 +32,20 @@ _IMAG_TOL = 1e-10
 PATHS = ("fast", "direct")
 _ZERO_STATE = "expectation of the zero state is undefined"
 
+# A fast trajectory's workspace per worker: complex amplitudes and real
+# squares, 24 bytes per (time, channel, point).  0.75 MiB is 4 times at
+# n = 4096 with two channels.  On a 2-core Xeon (2 MiB L2 per core), a
+# 4000-step trajectory on two workers ran within 10 % for blocks of 4 to 64
+# times and 1.7x slower for blocks of 1; on one worker, 4 to 16 was fastest.
+_BLOCK_BYTES = 3 << 18
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
 
 def evolve(state: EnergyState, t: float) -> EnergyState:
     """Propagate by time t: amplitudes times e^{-i E t}.  Norm preserving."""
     phases = np.exp(-1j * state.grid.points * t)
-    return make_state(state.grid, state.channels, state.amplitudes * phases)
+    return _own_state(state.grid, state.channels, state.amplitudes * phases)
 
 
 def expectation_m(
@@ -97,8 +115,9 @@ def trajectory(
     """Evaluate the expectation along {U(t) psi : t in times}.
 
     ``times`` must be finite and strictly increasing with times[0] >= 0.
-    The dense operator is built once when the direct path is requested
-    without one.
+    The fast path runs the times in blocks on every usable CPU (see the
+    module notes); the direct path builds the dense operator once when
+    none is given.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -109,14 +128,89 @@ def trajectory(
         raise ValueError("times must be strictly increasing")
     if t[0] < 0.0:
         raise ValueError("trajectory starts at t >= 0")
-    if path == "direct" and operator is None:
-        operator = build_dense_m(state.grid)
-    values = np.empty(t.size)
-    for k, tk in enumerate(t):
-        values[k] = expectation_m(evolve(state, tk), path=path, operator=operator)
+    if path == "fast":
+        values = _fast_expectations(state, t)
+    else:
+        if path == "direct" and operator is None:
+            operator = build_dense_m(state.grid)
+        values = np.array([expectation_m(evolve(state, tk), path, operator) for tk in t])
     violations = [
         (float(t[k]), float(t[k + 1]), float(d))
         for k, d in enumerate(np.diff(values))
         if d > MONOTONE_TOL
     ]
     return Trajectory(times=t, values=values, path=path, monotone_violations=violations)
+
+
+def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
+    """``expectation_m(evolve(state, tk))`` for every tk in ``t``, bit for bit.
+
+    The times go in blocks of b through :func:`_fast_block`; blocks are dealt
+    round-robin to min(usable CPUs, blocks) workers, each with its own
+    b x channels x n workspace.  numpy's ufuncs and FFTs release the GIL on
+    arrays this size, so the workers run in parallel.  The workers call no
+    public function of the package: a tracer that wraps those keeps one span
+    stack per process.
+    """
+    grid = state.grid
+    channels, n = state.amplitudes.shape
+    block = max(1, _BLOCK_BYTES // (24 * channels * n))
+    starts = range(0, t.size, block)
+    workers = min(_CPUS, len(starts))
+    amplitudes = np.empty((workers, block, channels, n), dtype=complex)
+    squares = np.empty((workers, block, channels, n))
+    mass, first = np.empty(t.size), np.empty(t.size)
+    rotation = -1j * grid.points
+    _grid_factors(grid)  # a cache miss computes m(nu) here, on the calling thread
+
+    def work(w: int) -> None:
+        for k in starts[w::workers]:
+            s = slice(k, k + block)
+            mass[s], first[s] = _fast_block(
+                state, rotation, t[s], amplitudes[w], squares[w])
+
+    _on_threads(work, workers)
+    if np.any(mass == 0.0):
+        raise ValueError(_ZERO_STATE)
+    return first / mass
+
+
+def _fast_block(state, rotation, times, amplitudes, squares):
+    """(mass, first) of :func:`eigen_density_moments` at each of b times, in the workspace.
+
+    The phases e^{-iEt} fill channel 0 of ``amplitudes``, which every
+    channel's product then overwrites, channel 0 last.
+    """
+    b = times.size
+    amplitudes, squares = amplitudes[:b], squares[:b]
+    phases = amplitudes[:, 0]
+    # complex times: numpy would cast real ones through a 128 KiB buffer
+    np.exp(np.multiply(rotation, times.astype(complex)[:, None], out=phases), out=phases)
+    for c in reversed(range(state.amplitudes.shape[0])):
+        np.multiply(state.amplitudes[c], phases, out=amplitudes[:, c])
+    return _block_moments(state.grid, amplitudes, squares)
+
+
+def _on_threads(work, count: int) -> None:
+    """Run work(0), ..., work(count - 1) at once, work(0) on the calling thread.
+
+    Waits for every worker, then re-raises the first error.
+    """
+    errors = []
+
+    def guarded(w):
+        try:
+            work(w)
+        except BaseException as exc:  # re-raised on the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(w,)) for w in range(1, count)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]

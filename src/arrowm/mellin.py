@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import CHANNELS, EnergyState, LogEnergyGrid, _readonly, make_state
+from .grid import CHANNELS, EnergyState, LogEnergyGrid, _own_state, _readonly, make_state
 
 __all__ = [
     "MellinSpectrum",
@@ -145,19 +145,34 @@ class MellinSpectrum:
     @property
     def dnu(self) -> float:
         """Spacing of the frequency lattice."""
-        return 2.0 * np.pi / (self.grid.n * self.grid.du)
+        return _frequency_spacing(self.grid)
+
+
+def _frequency_spacing(grid: LogEnergyGrid) -> float:
+    return 2.0 * np.pi / (grid.n * grid.du)
 
 
 def spectral_weight(spec: MellinSpectrum) -> np.ndarray:
     """|chat(nu_k)|^2 dnu summed over channels: the state's mass at each frequency."""
-    return np.sum(np.abs(spec.coefficients) ** 2, axis=0) * spec.dnu
+    return _weight(spec.coefficients, spec.dnu)
+
+
+def _weight(chat: np.ndarray, dnu: float, squares=None, out=None) -> np.ndarray:
+    """|chat|^2 summed over the channel axis (the second to last) times dnu.
+
+    ``squares`` (real, the shape of ``chat``) receives |chat|^2 and ``out``
+    the weight; either is allocated when not given.
+    """
+    squares = np.abs(chat, out=squares)
+    np.square(squares, out=squares)
+    weight = np.sum(squares, axis=-2, out=out)
+    return np.multiply(weight, dnu, out=weight)
 
 
 def forward_mellin(state: EnergyState) -> MellinSpectrum:
     """Coefficients chat(nu_k) = (2 pi)^{-1/2} sum_i du e^{i nu u_i} e^{u_i/2} f(E_i)."""
     grid = state.grid
-    factors = _grid_factors(grid)
-    chat = factors.forward * np.fft.ifft(factors.half * state.amplitudes, axis=-1)
+    chat = _coefficients(_grid_factors(grid), state.amplitudes)
     return MellinSpectrum(
         grid=grid,
         channels=state.channels,
@@ -165,12 +180,19 @@ def forward_mellin(state: EnergyState) -> MellinSpectrum:
     )
 
 
+def _coefficients(factors: _GridFactors, amplitudes: np.ndarray, out=None) -> np.ndarray:
+    """chat over the last axis of ``amplitudes``, in FFT order; ``out`` may be ``amplitudes``."""
+    chat = np.multiply(factors.half, amplitudes, out=out)
+    np.fft.ifft(chat, axis=-1, out=chat)
+    return np.multiply(factors.forward, chat, out=chat)
+
+
 def inverse_mellin(spec: MellinSpectrum) -> EnergyState:
     """Exact inverse of :func:`forward_mellin` (plain FFT pair, roundoff only)."""
     factors = _grid_factors(spec.grid)
     chat = np.fft.ifftshift(spec.coefficients, axes=-1)
     F = (2.0 * np.pi) ** -0.5 * spec.dnu * np.fft.fft(chat * factors.inverse_phase, axis=-1)
-    return make_state(spec.grid, spec.channels, factors.inverse_half * F)
+    return _own_state(spec.grid, spec.channels, factors.inverse_half * F)
 
 
 def apply_m_fast(state: EnergyState) -> EnergyState:
@@ -256,14 +278,29 @@ def eigen_density_moments(state: EnergyState) -> tuple[float, float]:
     dm = |dm/dnu| dnu, which turns the moments into plain sums over the
     discrete coefficient grid.
     """
-    spec = forward_mellin(state)
-    return _moments(spec.grid, spectral_weight(spec))
+    amplitudes = state.amplitudes[None].copy()
+    mass, first = _block_moments(state.grid, amplitudes, np.empty(amplitudes.shape))
+    return float(mass[0]), float(first[0])
 
 
-def _moments(grid: LogEnergyGrid, weight: np.ndarray) -> tuple[float, float]:
-    """(sum of weight, sum of m(nu) * weight) for a :func:`spectral_weight` array."""
-    first = np.sum(_grid_factors(grid).multiplier * weight)
-    return float(np.sum(weight)), float(first)
+def _block_moments(grid: LogEnergyGrid, amplitudes: np.ndarray, squares: np.ndarray):
+    """:func:`eigen_density_moments` of a block of states: (mass, first), each of shape (b,).
+
+    ``amplitudes`` (complex, shape (b, channels, n)) is overwritten by the
+    coefficients and then by the weight; ``squares`` (real, the same shape)
+    by |chat|^2 and then by the weight in ascending frequency order.
+    """
+    chat = _coefficients(_grid_factors(grid), amplitudes, out=amplitudes)
+    weight = _weight(chat, _frequency_spacing(grid), squares, out=chat.real[:, 0])
+    half = (grid.n + 1) // 2  # fftshift, into storage the squares no longer need
+    ascending = np.concatenate((weight[:, half:], weight[:, :half]), axis=-1, out=squares[:, 0])
+    return _moments(grid, ascending)
+
+
+def _moments(grid: LogEnergyGrid, weight: np.ndarray):
+    """(sum of weight, sum of m(nu) * weight) over the last axis of :func:`spectral_weight` arrays."""
+    first = np.sum(_grid_factors(grid).multiplier * weight, axis=-1)
+    return np.sum(weight, axis=-1), first
 
 
 def sample_eigenfunction(m: float, channel: str, grid: LogEnergyGrid) -> EnergyState:

@@ -175,7 +175,7 @@ def test_eigden_scenario(tmp_path):
                                              "frames.density_points": 501})
     summary = run_scenario("eigden", cfg)
     header, rows = read_csv(tmp_path / "out" / "eigen_density.csv")
-    assert header == ["m", "rho_plus", "rho_minus"]
+    assert header == ["m", "rho_plus", "rho_minus", "nu"]
     assert len(rows) == 501
     m = np.array([float(r[0]) for r in rows])
     assert np.all((m > 0.0) & (m < 1.0))
@@ -209,7 +209,7 @@ def test_fig2_scenario_frames(tmp_path):
         variances.append(np.trapezoid((x - mean) ** 2 * dens, x) / mass)
 
         header, rows = read_csv(out / f"eigen_density_{k:02d}.csv")
-        assert header == ["m", "rho_plus", "rho_minus"]
+        assert header == ["m", "rho_plus", "rho_minus", "nu"]
         m = np.array([float(r[0]) for r in rows])
         rho = np.array([float(r[1]) + float(r[2]) for r in rows])
         nu = frequency_of_eigenvalue(m)
@@ -217,6 +217,18 @@ def test_fig2_scenario_frames(tmp_path):
         assert frame_mass == pytest.approx(1.0, abs=1e-6)
     assert variances[0] < variances[1] < variances[2]
     assert summary["n_frames"] == 3
+
+
+def test_fig2_density_csv_nu_column_gives_covered_mass(tmp_path):
+    # integrating over the written nu needs no nu(m) round trip, which is
+    # ill-conditioned near m = 1 (off by about 1e-8 at these defaults)
+    summary = run_scenario("fig2", cfg_for("fig2", tmp_path, extra={"output.svg": False}))
+    for k in range(summary["n_frames"]):
+        _, rows = read_csv(tmp_path / "out" / f"eigen_density_{k:02d}.csv")
+        m, rho_plus, rho_minus, nu = np.array(rows, dtype=float).T
+        assert np.all(np.diff(nu) > 0.0)
+        covered = np.trapezoid((rho_plus + rho_minus) * frequency_jacobian(m), nu)
+        assert abs(covered - summary[f"frame_{k:02d}_density_covered_mass"]) <= 1e-12
 
 
 def test_fig2_requires_gaussian_state(tmp_path):

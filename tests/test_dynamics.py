@@ -1,6 +1,9 @@
+import inspect
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from arrowm import (
     windowed_eigenfunction,
 )
 
+from arrowm import dynamics
 from arrowm.mellin import _grid_factors
 from conftest import gaussian_window, zero_state
 
@@ -116,6 +120,97 @@ def test_trajectory_is_expectation_along_the_orbit(rng):
     times = np.linspace(0.0, 5.0, 20)
     expected = [expectation_m(evolve(f, t)) for t in times]
     assert np.array_equal(trajectory(f, times).values, expected)
+
+
+def _block_size(state):
+    channels, n = state.amplitudes.shape
+    return max(1, dynamics._BLOCK_BYTES // (24 * channels * n))
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3])
+@pytest.mark.parametrize("kind", ["fig1_4096", "random_257"])
+def test_fast_trajectory_blocks_equal_per_time_expectations(kind, cpus, monkeypatch):
+    if kind == "fig1_4096":
+        state, t_end = fig_packet(4096), 32.0
+    else:
+        rng = np.random.default_rng(257)
+        state, t_end = random_smooth_state(make_log_grid(1e-3, 1e3, 257), rng), 5.0
+    if cpus is not None:
+        monkeypatch.setattr(dynamics, "_CPUS", cpus)
+    b = _block_size(state)
+    for count in sorted({2, b - 1, b, b + 1, 4 * b + 3} - {0, 1}):
+        times = np.linspace(0.0, t_end, count)
+        expected = [expectation_m(evolve(state, t)) for t in times]
+        assert np.array_equal(trajectory(state, times).values, expected), count
+
+
+def test_fast_trajectory_workspace_is_bounded(monkeypatch):
+    # two workers, each with a 4 x 2 x 4096 block of complex amplitudes and
+    # real squares (0.75 MiB), plus per-block temporaries: 2.5 MB measured
+    monkeypatch.setattr(dynamics, "_CPUS", 2)
+    state = fig_packet(4096)
+    times = np.linspace(0.0, 32.0, 4000)
+    trajectory(state, times[:8])
+    tracemalloc.start()
+    try:
+        trajectory(state, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0e6
+
+
+def test_fast_trajectory_workers_call_no_public_function(monkeypatch, rng):
+    # a tracer wraps the public functions and keeps one span stack per process
+    monkeypatch.setattr(dynamics, "_CPUS", 3)
+    main = threading.main_thread()
+    callers, block_threads = set(), set()
+    modules = [arrowm.grid, arrowm.dynamics, arrowm.mellin, arrowm.operator,
+               arrowm.freeparticle]
+
+    def recorded(fn, seen):
+        def wrapper(*args, **kwargs):
+            seen.add((fn.__name__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in modules:
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if inspect.isfunction(fn):
+                for other in (arrowm, *modules):
+                    if getattr(other, name, None) is fn:
+                        monkeypatch.setattr(other, name, recorded(fn, callers))
+    monkeypatch.setattr(dynamics, "_block_moments",
+                        recorded(dynamics._block_moments, block_threads))
+    _grid_factors.cache_clear()
+    f = random_smooth_state(make_log_grid(1e-3, 1e3, 256), rng)
+    arrowm.trajectory(f, np.linspace(0.0, 5.0, 400))
+    assert {"trajectory", "eigenvalue_of_frequency"} <= {name for name, _ in callers}
+    assert {thread for _, thread in callers} == {main}
+    assert len({thread for _, thread in block_threads}) == 3
+
+
+def test_fast_trajectory_zero_state_raises_across_workers(monkeypatch):
+    monkeypatch.setattr(dynamics, "_CPUS", 3)
+    g = make_log_grid(1e-2, 1e2, 4096)
+    with pytest.raises(ValueError, match="zero state"):
+        trajectory(zero_state(g), np.linspace(0.0, 1.0, 50))
+
+
+def test_fast_trajectory_reraises_a_worker_error(monkeypatch, rng):
+    monkeypatch.setattr(dynamics, "_CPUS", 3)
+    block = dynamics._block_moments
+
+    def failing(grid, amplitudes, squares):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker failed")
+        return block(grid, amplitudes, squares)
+
+    monkeypatch.setattr(dynamics, "_block_moments", failing)
+    f = random_smooth_state(make_log_grid(1e-3, 1e3, 4096), rng)
+    with pytest.raises(FloatingPointError, match="worker failed"):
+        trajectory(f, np.linspace(0.0, 5.0, 50))
 
 
 def test_expectation_unknown_path_raises(rng):

@@ -3,13 +3,17 @@ import pytest
 
 from arrowm import (
     LogEnergyGrid,
+    evolve,
+    forward_mellin,
     inner_product,
+    inverse_mellin,
     make_log_grid,
     make_state,
     normalize_state,
     random_smooth_state,
     state_norm,
 )
+from arrowm.grid import _own_state
 
 from conftest import zero_state
 
@@ -134,6 +138,27 @@ def test_make_state_shape_validation():
     g = make_log_grid(1e-2, 1e2, 64)
     with pytest.raises(ValueError):
         make_state(g, ("+", "-"), np.zeros((2, 63)))
+
+
+def test_make_state_copies_the_callers_array():
+    g = make_log_grid(1e-2, 1e2, 64)
+    for amps in (np.ones((2, 64), dtype=complex), np.ones(64)):
+        f = make_state(g, ("+", "-")[: amps.ndim], amps)
+        assert not np.shares_memory(f.amplitudes, amps)
+        assert not f.amplitudes.flags.writeable
+        amps[0] = 5.0  # the caller's array stays writable and the state unchanged
+        assert np.all(f.amplitudes == 1.0)
+
+
+def test_library_states_wrap_fresh_arrays_read_only(rng):
+    g = make_log_grid(1e-2, 1e2, 64)
+    amps = np.ones((2, 64), dtype=complex)
+    assert np.shares_memory(_own_state(g, ("+", "-"), amps).amplitudes, amps)
+    assert not amps.flags.writeable
+    f = random_smooth_state(g, rng)
+    for state in (evolve(f, 1.0), normalize_state(f), inverse_mellin(forward_mellin(f))):
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0, 0] = 1.0
 
 
 def test_normalize_zero_state_raises():
