@@ -8,10 +8,10 @@ increase beyond the monotonicity tolerance.
 
 A fast trajectory evolves and transforms its times in blocks, each block one
 batched pass of numpy work on a workspace allocated once per call, and deals
-the blocks round-robin to one thread per usable CPU (the calling thread is
-one of them).  Every operation is the per-time one applied elementwise or
-row by row, in the same order, so the values are bit-identical to
-``expectation_m(evolve(state, t))`` at each time, whatever the CPU count.
+the blocks round-robin to one thread per usable CPU, at most two (the
+calling thread is one of them).  Every operation is the per-time one applied
+elementwise or row by row, in the same order, so the values are bit-identical
+to ``expectation_m(evolve(state, t))`` at each time, whatever the worker count.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import EnergyState, _own_state, inner_product, state_norm
+from .grid import EnergyState, inner_product, make_state, state_norm
 from .mellin import _block_moments, _grid_factors, eigen_density_moments
 from .operator import DenseOperator, apply_m_direct, build_dense_m
 
@@ -38,14 +38,18 @@ _ZERO_STATE = "expectation of the zero state is undefined"
 # 4000-step trajectory on two workers ran within 10 % for blocks of 4 to 64
 # times and 1.7x slower for blocks of 1; on one worker, 4 to 16 was fastest.
 _BLOCK_BYTES = 3 << 18
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
+# Worker threads of a fast trajectory: the usable CPUs, at most 2.  Each
+# worker first-touches its workspace and numpy's buffers once per call
+# (about 300 page faults and 1.9 MB of peak RSS); only 1 and 2 workers were
+# measured, on a 2-core Xeon, where 2 ran a 4000-step trajectory 1.7x faster.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 def evolve(state: EnergyState, t: float) -> EnergyState:
     """Propagate by time t: amplitudes times e^{-i E t}.  Norm preserving."""
     phases = np.exp(-1j * state.grid.points * t)
-    return _own_state(state.grid, state.channels, state.amplitudes * phases)
+    return make_state(state.grid, state.channels, state.amplitudes * phases)
 
 
 def expectation_m(
@@ -115,7 +119,7 @@ def trajectory(
     """Evaluate the expectation along {U(t) psi : t in times}.
 
     ``times`` must be finite and strictly increasing with times[0] >= 0.
-    The fast path runs the times in blocks on every usable CPU (see the
+    The fast path runs the times in blocks on up to two CPUs (see the
     module notes); the direct path builds the dense operator once when
     none is given.
     """
@@ -146,7 +150,7 @@ def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
     """``expectation_m(evolve(state, tk))`` for every tk in ``t``, bit for bit.
 
     The times go in blocks of b through :func:`_fast_block`; blocks are dealt
-    round-robin to min(usable CPUs, blocks) workers, each with its own
+    round-robin to min(``_WORKERS``, blocks) workers, each with its own
     b x channels x n workspace.  numpy's ufuncs and FFTs release the GIL on
     arrays this size, so the workers run in parallel.  The workers call no
     public function of the package: a tracer that wraps those keeps one span
@@ -156,7 +160,7 @@ def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
     channels, n = state.amplitudes.shape
     block = max(1, _BLOCK_BYTES // (24 * channels * n))
     starts = range(0, t.size, block)
-    workers = min(_CPUS, len(starts))
+    workers = min(_WORKERS, len(starts))
     amplitudes = np.empty((workers, block, channels, n), dtype=complex)
     squares = np.empty((workers, block, channels, n))
     mass, first = np.empty(t.size), np.empty(t.size)

@@ -119,13 +119,9 @@ class EnergyState:
 
 
 def make_state(grid: LogEnergyGrid, channels, amplitudes) -> EnergyState:
-    """Wrap a read-only copy of per-channel amplitude samples into an immutable state."""
-    return _own_state(grid, channels, np.array(amplitudes, dtype=complex, order="C"))
-
-
-def _own_state(grid: LogEnergyGrid, channels, amps: np.ndarray) -> EnergyState:
-    """:func:`make_state` without the copy, for a complex array nothing else holds."""
+    """Wrap per-channel amplitude samples into an immutable state."""
     channels = tuple(channels)
+    amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim == 1:
         amps = amps[None, :]
     if amps.shape != (len(channels), grid.n):
@@ -133,7 +129,7 @@ def _own_state(grid: LogEnergyGrid, channels, amps: np.ndarray) -> EnergyState:
             f"amplitudes shape {amps.shape} does not match "
             f"({len(channels)} channels, {grid.n} points)"
         )
-    return EnergyState(grid=grid, channels=channels, amplitudes=_readonly(amps))
+    return EnergyState(grid=grid, channels=channels, amplitudes=_readonly(amps.copy()))
 
 
 def _check_compatible(a: EnergyState, b: EnergyState) -> None:
@@ -158,7 +154,7 @@ def normalize_state(state: EnergyState) -> EnergyState:
     nrm = state_norm(state)
     if nrm == 0.0:
         raise ValueError("cannot normalize the zero state")
-    return _own_state(state.grid, state.channels, state.amplitudes / nrm)
+    return make_state(state.grid, state.channels, state.amplitudes / nrm)
 
 
 def random_smooth_state(

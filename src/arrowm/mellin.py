@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import CHANNELS, EnergyState, LogEnergyGrid, _own_state, _readonly, make_state
+from .grid import CHANNELS, EnergyState, LogEnergyGrid, _readonly, make_state
 
 __all__ = [
     "MellinSpectrum",
@@ -192,7 +192,7 @@ def inverse_mellin(spec: MellinSpectrum) -> EnergyState:
     factors = _grid_factors(spec.grid)
     chat = np.fft.ifftshift(spec.coefficients, axes=-1)
     F = (2.0 * np.pi) ** -0.5 * spec.dnu * np.fft.fft(chat * factors.inverse_phase, axis=-1)
-    return _own_state(spec.grid, spec.channels, factors.inverse_half * F)
+    return make_state(spec.grid, spec.channels, factors.inverse_half * F)
 
 
 def apply_m_fast(state: EnergyState) -> EnergyState:
@@ -278,13 +278,17 @@ def eigen_density_moments(state: EnergyState) -> tuple[float, float]:
     dm = |dm/dnu| dnu, which turns the moments into plain sums over the
     discrete coefficient grid.
     """
-    amplitudes = state.amplitudes[None].copy()
-    mass, first = _block_moments(state.grid, amplitudes, np.empty(amplitudes.shape))
-    return float(mass[0]), float(first[0])
+    spec = forward_mellin(state)
+    mass, first = _moments(spec.grid, spectral_weight(spec))
+    return float(mass), float(first)
 
 
 def _block_moments(grid: LogEnergyGrid, amplitudes: np.ndarray, squares: np.ndarray):
     """:func:`eigen_density_moments` of a block of states: (mass, first), each of shape (b,).
+
+    Each row goes through the helpers of :func:`forward_mellin`,
+    :func:`spectral_weight` and :func:`_moments`, so it equals
+    :func:`eigen_density_moments` bit for bit.
 
     ``amplitudes`` (complex, shape (b, channels, n)) is overwritten by the
     coefficients and then by the weight; ``squares`` (real, the same shape)

@@ -127,16 +127,16 @@ def _block_size(state):
     return max(1, dynamics._BLOCK_BYTES // (24 * channels * n))
 
 
-@pytest.mark.parametrize("cpus", [None, 1, 3])
+@pytest.mark.parametrize("workers", [None, 1, 3])
 @pytest.mark.parametrize("kind", ["fig1_4096", "random_257"])
-def test_fast_trajectory_blocks_equal_per_time_expectations(kind, cpus, monkeypatch):
+def test_fast_trajectory_blocks_equal_per_time_expectations(kind, workers, monkeypatch):
     if kind == "fig1_4096":
         state, t_end = fig_packet(4096), 32.0
     else:
         rng = np.random.default_rng(257)
         state, t_end = random_smooth_state(make_log_grid(1e-3, 1e3, 257), rng), 5.0
-    if cpus is not None:
-        monkeypatch.setattr(dynamics, "_CPUS", cpus)
+    if workers is not None:
+        monkeypatch.setattr(dynamics, "_WORKERS", workers)
     b = _block_size(state)
     for count in sorted({2, b - 1, b, b + 1, 4 * b + 3} - {0, 1}):
         times = np.linspace(0.0, t_end, count)
@@ -147,7 +147,7 @@ def test_fast_trajectory_blocks_equal_per_time_expectations(kind, cpus, monkeypa
 def test_fast_trajectory_workspace_is_bounded(monkeypatch):
     # two workers, each with a 4 x 2 x 4096 block of complex amplitudes and
     # real squares (0.75 MiB), plus per-block temporaries: 2.5 MB measured
-    monkeypatch.setattr(dynamics, "_CPUS", 2)
+    monkeypatch.setattr(dynamics, "_WORKERS", 2)
     state = fig_packet(4096)
     times = np.linspace(0.0, 32.0, 4000)
     trajectory(state, times[:8])
@@ -162,7 +162,7 @@ def test_fast_trajectory_workspace_is_bounded(monkeypatch):
 
 def test_fast_trajectory_workers_call_no_public_function(monkeypatch, rng):
     # a tracer wraps the public functions and keeps one span stack per process
-    monkeypatch.setattr(dynamics, "_CPUS", 3)
+    monkeypatch.setattr(dynamics, "_WORKERS", 3)
     main = threading.main_thread()
     callers, block_threads = set(), set()
     modules = [arrowm.grid, arrowm.dynamics, arrowm.mellin, arrowm.operator,
@@ -192,14 +192,14 @@ def test_fast_trajectory_workers_call_no_public_function(monkeypatch, rng):
 
 
 def test_fast_trajectory_zero_state_raises_across_workers(monkeypatch):
-    monkeypatch.setattr(dynamics, "_CPUS", 3)
+    monkeypatch.setattr(dynamics, "_WORKERS", 3)
     g = make_log_grid(1e-2, 1e2, 4096)
     with pytest.raises(ValueError, match="zero state"):
         trajectory(zero_state(g), np.linspace(0.0, 1.0, 50))
 
 
 def test_fast_trajectory_reraises_a_worker_error(monkeypatch, rng):
-    monkeypatch.setattr(dynamics, "_CPUS", 3)
+    monkeypatch.setattr(dynamics, "_WORKERS", 3)
     block = dynamics._block_moments
 
     def failing(grid, amplitudes, squares):
