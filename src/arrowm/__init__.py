@@ -62,11 +62,14 @@ from .operator import (
 
 # glibc's malloc maps blocks above a dynamic threshold (128 KiB at start) with
 # mmap, and trims its heap when more than twice that lies free at the top.
-# A trajectory step allocates and frees a few (channels, n) complex arrays,
-# 128 KiB each at n = 4096, so at the start thresholds every step faults its
-# pages in afresh: about 80 faults per step and 0.3-1 s of a 4000-step fig1.
-# Freeing one untouched 4 MiB block raises both thresholds for the process
-# (they never fall); other allocators are unaffected.
+# A direct trajectory step or a density frame allocates and frees a few
+# (channels, n) complex arrays, 128 KiB each at n = 4096, so at the start
+# thresholds each one faults its pages in afresh.  Freeing one untouched
+# 4 MiB block raises both thresholds for the process (they never fall);
+# other allocators are unaffected.  In a fresh process at n = 4096 on a
+# 2-core host, with the block against without: a 200-step direct trajectory
+# 375 against 51,415 faults (0.21 s against 0.35 s), 20 density frames 452
+# against 7,530, a 4000-step fast trajectory 763 against 1,128 to 64,969.
 _np.empty(4 << 20, dtype=_np.uint8)
 
 __version__ = "0.1.0"

@@ -7,9 +7,9 @@ Cauchy-kernel path or the fast diagonalized path, and trajectories record any
 increase beyond the monotonicity tolerance.
 
 A fast trajectory evolves and transforms its times in blocks, each block one
-batched pass of numpy work on a workspace allocated once per call, and deals
-the blocks round-robin to one thread per usable CPU, at most two (the
-calling thread is one of them).  Every operation is the per-time one applied
+batched pass of numpy work on its own temporaries, and deals the blocks
+round-robin to one thread per usable CPU, at most two (the calling thread
+is one of them).  Every operation is the per-time one applied
 elementwise or row by row, in the same order, so the values are bit-identical
 to ``expectation_m(evolve(state, t))`` at each time, whatever the worker count.
 """
@@ -32,15 +32,15 @@ _IMAG_TOL = 1e-10
 PATHS = ("fast", "direct")
 _ZERO_STATE = "expectation of the zero state is undefined"
 
-# A fast trajectory's workspace per worker: complex amplitudes and real
-# squares, 24 bytes per (time, channel, point).  0.75 MiB is 4 times at
+# A fast trajectory's block size, at 24 bytes per (time, channel, point): a
+# block's complex amplitudes and real squares.  0.75 MiB is 4 times at
 # n = 4096 with two channels.  On a 2-core Xeon (2 MiB L2 per core), a
 # 4000-step trajectory on two workers ran within 10 % for blocks of 4 to 64
 # times and 1.7x slower for blocks of 1; on one worker, 4 to 16 was fastest.
 _BLOCK_BYTES = 3 << 18
 # Worker threads of a fast trajectory: the usable CPUs, at most 2.  Each
-# worker first-touches its workspace and numpy's buffers once per call
-# (about 300 page faults and 1.9 MB of peak RSS); only 1 and 2 workers were
+# worker first-touches its temporaries and numpy's buffers once per call
+# (about 350 page faults and 1.7 MB of peak RSS); only 1 and 2 workers were
 # measured, on a 2-core Xeon, where 2 ran a 4000-step trajectory 1.7x faster.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
@@ -149,20 +149,18 @@ def trajectory(
 def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
     """``expectation_m(evolve(state, tk))`` for every tk in ``t``, bit for bit.
 
-    The times go in blocks of b through :func:`_fast_block`; blocks are dealt
-    round-robin to min(``_WORKERS``, blocks) workers, each with its own
-    b x channels x n workspace.  numpy's ufuncs and FFTs release the GIL on
-    arrays this size, so the workers run in parallel.  The workers call no
-    public function of the package: a tracer that wraps those keeps one span
-    stack per process.
+    The times go in blocks of b, each evolved as one (b, channels, n) array
+    and passed to :func:`_block_moments`; blocks are dealt round-robin to
+    min(``_WORKERS``, blocks) workers.  numpy's ufuncs and FFTs release the
+    GIL on arrays this size, so the workers run in parallel.  The workers
+    call no public function of the package: a tracer that wraps those keeps
+    one span stack per process.
     """
     grid = state.grid
     channels, n = state.amplitudes.shape
     block = max(1, _BLOCK_BYTES // (24 * channels * n))
     starts = range(0, t.size, block)
     workers = min(_WORKERS, len(starts))
-    amplitudes = np.empty((workers, block, channels, n), dtype=complex)
-    squares = np.empty((workers, block, channels, n))
     mass, first = np.empty(t.size), np.empty(t.size)
     rotation = -1j * grid.points
     _grid_factors(grid)  # a cache miss computes m(nu) here, on the calling thread
@@ -170,29 +168,14 @@ def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
     def work(w: int) -> None:
         for k in starts[w::workers]:
             s = slice(k, k + block)
-            mass[s], first[s] = _fast_block(
-                state, rotation, t[s], amplitudes[w], squares[w])
+            # complex times: numpy would cast real ones through a 128 KiB buffer
+            phases = np.exp(np.multiply(rotation, t[s].astype(complex)[:, None]))
+            mass[s], first[s] = _block_moments(grid, state.amplitudes * phases[:, None, :])
 
     _on_threads(work, workers)
     if np.any(mass == 0.0):
         raise ValueError(_ZERO_STATE)
     return first / mass
-
-
-def _fast_block(state, rotation, times, amplitudes, squares):
-    """(mass, first) of :func:`eigen_density_moments` at each of b times, in the workspace.
-
-    The phases e^{-iEt} fill channel 0 of ``amplitudes``, which every
-    channel's product then overwrites, channel 0 last.
-    """
-    b = times.size
-    amplitudes, squares = amplitudes[:b], squares[:b]
-    phases = amplitudes[:, 0]
-    # complex times: numpy would cast real ones through a 128 KiB buffer
-    np.exp(np.multiply(rotation, times.astype(complex)[:, None], out=phases), out=phases)
-    for c in reversed(range(state.amplitudes.shape[0])):
-        np.multiply(state.amplitudes[c], phases, out=amplitudes[:, c])
-    return _block_moments(state.grid, amplitudes, squares)
 
 
 def _on_threads(work, count: int) -> None:

@@ -157,16 +157,9 @@ def spectral_weight(spec: MellinSpectrum) -> np.ndarray:
     return _weight(spec.coefficients, spec.dnu)
 
 
-def _weight(chat: np.ndarray, dnu: float, squares=None, out=None) -> np.ndarray:
-    """|chat|^2 summed over the channel axis (the second to last) times dnu.
-
-    ``squares`` (real, the shape of ``chat``) receives |chat|^2 and ``out``
-    the weight; either is allocated when not given.
-    """
-    squares = np.abs(chat, out=squares)
-    np.square(squares, out=squares)
-    weight = np.sum(squares, axis=-2, out=out)
-    return np.multiply(weight, dnu, out=weight)
+def _weight(chat: np.ndarray, dnu: float) -> np.ndarray:
+    """|chat|^2 summed over the channel axis (the second to last) times dnu."""
+    return np.sum(np.square(np.abs(chat)), axis=-2) * dnu
 
 
 def forward_mellin(state: EnergyState) -> MellinSpectrum:
@@ -283,22 +276,17 @@ def eigen_density_moments(state: EnergyState) -> tuple[float, float]:
     return float(mass), float(first)
 
 
-def _block_moments(grid: LogEnergyGrid, amplitudes: np.ndarray, squares: np.ndarray):
+def _block_moments(grid: LogEnergyGrid, amplitudes: np.ndarray):
     """:func:`eigen_density_moments` of a block of states: (mass, first), each of shape (b,).
 
     Each row goes through the helpers of :func:`forward_mellin`,
     :func:`spectral_weight` and :func:`_moments`, so it equals
-    :func:`eigen_density_moments` bit for bit.
-
-    ``amplitudes`` (complex, shape (b, channels, n)) is overwritten by the
-    coefficients and then by the weight; ``squares`` (real, the same shape)
-    by |chat|^2 and then by the weight in ascending frequency order.
+    :func:`eigen_density_moments` bit for bit.  ``amplitudes`` (complex,
+    shape (b, channels, n)) is overwritten by the coefficients.
     """
     chat = _coefficients(_grid_factors(grid), amplitudes, out=amplitudes)
-    weight = _weight(chat, _frequency_spacing(grid), squares, out=chat.real[:, 0])
-    half = (grid.n + 1) // 2  # fftshift, into storage the squares no longer need
-    ascending = np.concatenate((weight[:, half:], weight[:, :half]), axis=-1, out=squares[:, 0])
-    return _moments(grid, ascending)
+    weight = _weight(chat, _frequency_spacing(grid))
+    return _moments(grid, np.fft.fftshift(weight, axes=-1))
 
 
 def _moments(grid: LogEnergyGrid, weight: np.ndarray):

@@ -284,6 +284,18 @@ def test_main_bad_scenario_exits_two_with_one_line(tmp_path, capsys, sub, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("blocked", ["trajectory.svg", "trajectory.csv"])
+def test_main_unwritable_output_file_exits_two_with_one_line(tmp_path, capsys, blocked):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("grid.n = 512\ntimes.steps = 5\n")
+    (tmp_path / "o" / blocked).mkdir(parents=True)
+    rc = main(["fig1", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("arrow-m fig1: ") and err.count("\n") == 1
+    assert blocked in err and "Traceback" not in err
+
+
 def test_main_failed_verify_exits_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_verify_checks", lambda: [("broken", "FAIL", 1.0, 0.0)])
     assert main(["verify", "--out", str(tmp_path / "v")]) == 1

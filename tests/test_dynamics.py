@@ -145,8 +145,9 @@ def test_fast_trajectory_blocks_equal_per_time_expectations(kind, workers, monke
 
 
 def test_fast_trajectory_workspace_is_bounded(monkeypatch):
-    # two workers, each with a 4 x 2 x 4096 block of complex amplitudes and
-    # real squares (0.75 MiB), plus per-block temporaries: 2.5 MB measured
+    # two workers, each holding one block's temporaries at a time: the
+    # 4 x 2 x 4096 complex amplitudes, their squares, the phases and the
+    # weights: 2.7 MB measured
     monkeypatch.setattr(dynamics, "_WORKERS", 2)
     state = fig_packet(4096)
     times = np.linspace(0.0, 32.0, 4000)
@@ -202,10 +203,10 @@ def test_fast_trajectory_reraises_a_worker_error(monkeypatch, rng):
     monkeypatch.setattr(dynamics, "_WORKERS", 3)
     block = dynamics._block_moments
 
-    def failing(grid, amplitudes, squares):
+    def failing(grid, amplitudes):
         if threading.current_thread() is not threading.main_thread():
             raise FloatingPointError("worker failed")
-        return block(grid, amplitudes, squares)
+        return block(grid, amplitudes)
 
     monkeypatch.setattr(dynamics, "_block_moments", failing)
     f = random_smooth_state(make_log_grid(1e-3, 1e3, 4096), rng)
@@ -235,17 +236,19 @@ def test_trajectory_rejects_bad_time_grids(rng):
             trajectory(f, bad)
 
 
-# A 200-step fast trajectory at n = 4096 in a fresh process that imports the
-# library alone (no cli, no scipy), reporting its minor page faults.
+# A trajectory of the fig1 packet at n = 4096 in a fresh process that imports
+# the library alone (no cli, no scipy), reporting its minor page faults.
+# Arguments: e_min, e_max, steps, path.
 _LIBRARY_TRAJECTORY = """
 import resource, sys
 import numpy as np
 import arrowm
 assert "arrowm.cli" not in sys.modules and "scipy" not in sys.modules
+e_min, e_max, steps, path = float(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
 state = arrowm.normalize_state(arrowm.to_energy_state(
-    arrowm.GaussianPacketParams(1.0, 0.64, 0.3), arrowm.make_log_grid(5e-15, 50.0, 4096)))
+    arrowm.GaussianPacketParams(1.0, 0.64, 0.3), arrowm.make_log_grid(e_min, e_max, 4096)))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-arrowm.trajectory(state, np.linspace(0.0, 32.0, 200))
+arrowm.trajectory(state, np.linspace(0.0, 32.0, steps), path=path)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -253,20 +256,23 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc thresholds")
 def test_library_trajectory_does_not_fault_per_step():
     # Without the 4 MiB block freed at `import arrowm`, glibc's start-up
-    # thresholds make every step fault its arrays in afresh: about 16000
-    # faults for this run, against about 120 with the block.  Whether the
-    # start-up thresholds fault depends on the heap layout, which shifts with
-    # the size of the environment (one padding in eight ran clean without the
-    # block), so the run repeats at three paddings.
+    # thresholds make every step of the direct path fault its arrays in
+    # afresh: about 17,700 faults for its 50 steps, against about 410 with
+    # the block.  The fast run allocates per block of times and faults about
+    # 760 times with the block, 1,070 or more without.
+    # Whether the start-up thresholds fault depends on the heap layout,
+    # which shifts with the size of the environment, so each run repeats
+    # at three paddings.
     src = str(Path(arrowm.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    for pad in (0, 256, 4096):
-        done = subprocess.run([sys.executable, "-c", _LIBRARY_TRAJECTORY],
-                              env={**env, "ARROWM_TEST_PAD": "x" * pad},
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert int(done.stdout.splitlines()[-1]) <= 1000, pad
+    for args in (("5e-15", "50", "200", "fast"), ("1e-22", "1e21", "50", "direct")):
+        for pad in (0, 256, 4096):
+            done = subprocess.run([sys.executable, "-c", _LIBRARY_TRAJECTORY, *args],
+                                  env={**env, "ARROWM_TEST_PAD": "x" * pad},
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            assert int(done.stdout.splitlines()[-1]) <= 1000, (args, pad)
 
 
 def test_trajectory_values_bounded_and_decreasing_for_packet():
