@@ -14,51 +14,12 @@ wave-packet scenarios exercised by the ``arrow-m`` command.
 
 import numpy as _np
 
-from .dynamics import MONOTONE_TOL, Trajectory, evolve, expectation_m, trajectory
-from .freeparticle import (
-    GaussianPacketParams,
-    momentum_wavefunction,
-    packet_tail_mass,
-    position_density,
-    position_spread,
-    position_wavefunction,
-    to_energy_state,
-)
-from .grid import (
-    CHANNELS,
-    EnergyState,
-    LogEnergyGrid,
-    inner_product,
-    make_log_grid,
-    make_state,
-    normalize_state,
-    random_smooth_state,
-    state_norm,
-)
-from .mellin import (
-    MellinSpectrum,
-    apply_m_fast,
-    completeness_kernel_check,
-    eigen_density,
-    eigen_density_moments,
-    eigenvalue_of_frequency,
-    forward_mellin,
-    frequency_grid,
-    frequency_jacobian,
-    frequency_of_eigenvalue,
-    inverse_mellin,
-    sample_eigenfunction,
-    spectral_weight,
-    tukey_window,
-    windowed_eigenfunction,
-)
-from .operator import (
-    DenseOperator,
-    apply_m_direct,
-    build_dense_m,
-    dense_spectrum,
-    hermiticity_residual,
-)
+from . import dynamics, freeparticle, grid, mellin, operator
+from .dynamics import *
+from .freeparticle import *
+from .grid import *
+from .mellin import *
+from .operator import *
 
 # glibc's malloc maps blocks above a dynamic threshold (128 KiB at start) with
 # mmap, and trims its heap when more than twice that lies free at the top.
@@ -74,46 +35,6 @@ _np.empty(4 << 20, dtype=_np.uint8)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CHANNELS",
-    "DenseOperator",
-    "EnergyState",
-    "GaussianPacketParams",
-    "LogEnergyGrid",
-    "MONOTONE_TOL",
-    "MellinSpectrum",
-    "Trajectory",
-    "apply_m_direct",
-    "apply_m_fast",
-    "build_dense_m",
-    "completeness_kernel_check",
-    "dense_spectrum",
-    "eigen_density",
-    "eigen_density_moments",
-    "eigenvalue_of_frequency",
-    "evolve",
-    "expectation_m",
-    "forward_mellin",
-    "frequency_grid",
-    "frequency_jacobian",
-    "frequency_of_eigenvalue",
-    "hermiticity_residual",
-    "inner_product",
-    "inverse_mellin",
-    "make_log_grid",
-    "make_state",
-    "momentum_wavefunction",
-    "normalize_state",
-    "packet_tail_mass",
-    "position_density",
-    "position_spread",
-    "position_wavefunction",
-    "random_smooth_state",
-    "sample_eigenfunction",
-    "spectral_weight",
-    "state_norm",
-    "to_energy_state",
-    "trajectory",
-    "tukey_window",
-    "windowed_eigenfunction",
-]
+__all__ = sorted(
+    {*dynamics.__all__, *freeparticle.__all__, *grid.__all__, *mellin.__all__, *operator.__all__}
+)

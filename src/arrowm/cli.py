@@ -86,7 +86,10 @@ def _parse_float(s: str) -> float:
 
 
 def _parse_float_list(s: str):
-    return tuple(_parse_float(tok) for tok in s.split(",") if tok.strip())
+    values = tuple(_parse_float(tok) for tok in s.split(",") if tok.strip())
+    if not values:
+        raise ValueError("need at least one value")
+    return values
 
 
 def _parse_count(s: str) -> int:
@@ -232,7 +235,7 @@ def build_scenario_state(cfg: dict, grid):
     return normalize_state(state)
 
 
-def eigen_density_frame(state, points: int = 801):
+def eigen_density_frame(state, points: int):
     """(nu, m, rho, covered_mass, mass, first_moment) on a frequency-uniform m grid.
 
     The negative-frequency edge is pinned at -5.5 because eigenvalues closer

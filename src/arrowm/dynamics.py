@@ -169,8 +169,8 @@ def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
         for k in starts[w::workers]:
             s = slice(k, k + block)
             # complex times: numpy would cast real ones through a 128 KiB buffer
-            phases = np.exp(np.multiply(rotation, t[s].astype(complex)[:, None]))
-            mass[s], first[s] = _block_moments(grid, state.amplitudes * phases[:, None, :])
+            mass[s], first[s] = _block_moments(grid, state.amplitudes * np.exp(
+                np.multiply(rotation, t[s].astype(complex)[:, None]))[:, None, :])
 
     _on_threads(work, workers)
     if np.any(mass == 0.0):

@@ -310,12 +310,9 @@ def sample_eigenfunction(m: float, channel: str, grid: LogEnergyGrid) -> EnergyS
     return make_state(grid, CHANNELS, amps)
 
 
-def tukey_window(
-    grid: LogEnergyGrid, flat_halfwidth: float, taper_width: float, center: float | None = None
-) -> np.ndarray:
-    """Raised-cosine taper in u: 1 on |u - c| <= flat, cosine rolloff over taper."""
-    c = grid.center if center is None else center
-    d = np.abs(grid.log_points - c)
+def tukey_window(grid: LogEnergyGrid, flat_halfwidth: float, taper_width: float) -> np.ndarray:
+    """Raised-cosine taper in u: 1 on |u - grid.center| <= flat, cosine rolloff over taper."""
+    d = np.abs(grid.log_points - grid.center)
     w = np.zeros(grid.n)
     w[d <= flat_halfwidth] = 1.0
     ramp = (d > flat_halfwidth) & (d < flat_halfwidth + taper_width)

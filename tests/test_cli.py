@@ -67,6 +67,12 @@ def test_parse_config_bad_value_reports_line():
         parse_config_text("grid.n = 8\npath = sideways\n")
 
 
+@pytest.mark.parametrize("value", ["", ","])
+def test_parse_config_empty_frame_times_reports_line(value):
+    with pytest.raises(ScenarioError, match="line 2: bad value for 'frames.times'"):
+        parse_config_text(f"grid.n = 512\nframes.times = {value}\n")
+
+
 def test_parse_config_requires_assignment():
     with pytest.raises(ScenarioError, match="line 1"):
         parse_config_text("grid.n 8\n")
@@ -273,6 +279,7 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     ("evolve", "state.kind = eigenfunction\nstate.m = 1.5\n"),
     ("fig1", "times.steps = 1\n"),
     ("evolve", "times.steps = 5\nstate.p0 = nan\n"),
+    ("fig2", "frames.times = \n"),
 ])
 def test_main_bad_scenario_exits_two_with_one_line(tmp_path, capsys, sub, text):
     cfg = tmp_path / "bad.cfg"
