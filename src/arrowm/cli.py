@@ -183,11 +183,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: Path, columns, rows) -> None:
+def write_csv(path: Path, header, *columns) -> None:
+    """One row per index of ``columns``: floats at 17 significant digits, else str.
+
+    Each column is a 1-D float array or a sequence of Python floats, ints or
+    strs; its first element picks its format.
+    """
+    fmt = ",".join("%.17g" if len(c) and isinstance(c[0], float) else "%s"
+                   for c in columns) + "\n"
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % row for row in rows)
 
 
 def write_summary(path: Path, mapping: dict) -> None:
@@ -260,7 +267,7 @@ def eigen_density_frame(state, points: int):
 
 def _write_density_frame(out: Path, stem: str, t: float, nu, m, rho, svg: bool) -> None:
     write_csv(out / f"{stem}.csv", ("m", "rho_plus", "rho_minus", "nu"),
-              zip(m, rho[0], rho[1], nu))
+              m, rho[0], rho[1], nu)
     if svg:
         # rho(m) has integrable spikes at the interval edges (the change of
         # variables amplifies coefficient tails by 1/(2 pi m (1 - m))); plot the
@@ -285,7 +292,7 @@ def run_spectrum(cfg: dict, out: Path) -> dict:
     t1 = time.perf_counter()
     eigvals = dense_spectrum(op)
     t2 = time.perf_counter()
-    write_csv(out / "spectrum.csv", ("index", "eigenvalue"), enumerate(eigvals))
+    write_csv(out / "spectrum.csv", ("index", "eigenvalue"), range(eigvals.size), eigvals)
     if cfg["output.svg"]:
         write_line_plot(out / "spectrum.svg", np.arange(eigvals.size),
                         {"eigenvalue": eigvals}, title="dense spectrum",
@@ -316,14 +323,14 @@ def run_trajectory_scenario(cfg: dict, out: Path, name: str) -> dict:
         results[p] = trajectory(state, times, path=p, operator=op)
     t2 = time.perf_counter()
 
-    rows = []
-    for k, t in enumerate(times):
-        for p in sorted(results):
-            rows.append((float(t), float(results[p].values[k]), p))
-    write_csv(out / "trajectory.csv", ("t", "expectation_m", "path"), rows)
+    names = sorted(results)
+    write_csv(out / "trajectory.csv", ("t", "expectation_m", "path"),
+              np.repeat(times, len(names)),
+              np.stack([results[p].values for p in names], axis=1).ravel(),
+              names * times.size)
     if cfg["output.svg"]:
         write_line_plot(out / "trajectory.svg", times,
-                        {p: results[p].values for p in sorted(results)},
+                        {p: results[p].values for p in names},
                         title=f"{name}: expectation along the orbit",
                         xlabel="t", ylabel="<M>(t)")
 
@@ -332,7 +339,7 @@ def run_trajectory_scenario(cfg: dict, out: Path, name: str) -> dict:
         "grid.e_min": cfg["grid.e_min"], "grid.e_max": cfg["grid.e_max"], "grid.n": cfg["grid.n"],
         "t_start": float(times[0]), "t_end": float(times[-1]), "steps": int(times.size),
     }
-    for p in sorted(results):
+    for p in names:
         traj = results[p]
         summary[f"m_start_{p}"] = float(traj.values[0])
         summary[f"m_end_{p}"] = float(traj.values[-1])
@@ -382,8 +389,7 @@ def run_fig2(cfg: dict, out: Path) -> dict:
         half = 8.5 * position_spread(params, t)
         x = np.linspace(center - half, center + half, cfg["frames.x_points"])
         dens = position_density(params, x, t)
-        write_csv(out / f"position_density_{k:02d}.csv", ("coordinate", "density"),
-                  zip(x, dens))
+        write_csv(out / f"position_density_{k:02d}.csv", ("coordinate", "density"), x, dens)
         if cfg["output.svg"]:
             write_line_plot(out / f"position_density_{k:02d}.svg", x, {"density": dens},
                             title=f"|psi(x, t)|^2 at t = {t:g}", xlabel="x", ylabel="density")
@@ -509,7 +515,8 @@ def run_verify(cfg: dict, out: Path) -> dict:
     t0 = time.perf_counter()
     checks = _verify_checks()
     elapsed = time.perf_counter() - t0
-    write_csv(out / "verify_results.csv", ("check", "status", "value", "tolerance"), checks)
+    write_csv(out / "verify_results.csv", ("check", "status", "value", "tolerance"),
+              *zip(*checks))
     failed = [name for name, status, _, _ in checks if status == "FAIL"]
     overall = "PASS" if not failed else "FAIL"
     for name, status, value, tol in checks:

@@ -19,6 +19,10 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def write_line_plot(path, x, series: dict, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
     """Write one SVG with a polyline per entry of ``series`` (label -> y array)."""
     x = np.asarray(x, dtype=float)
@@ -47,6 +51,7 @@ def write_line_plot(path, x, series: dict, title: str = "", xlabel: str = "", yl
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="#444" stroke-width="1"/>',
     ]
+    title, xlabel, ylabel = _escape(title), _escape(xlabel), _escape(ylabel)
     if title:
         out.append(
             f'<text x="{_W // 2}" y="18" text-anchor="middle" '
@@ -82,8 +87,12 @@ def write_line_plot(path, x, series: dict, title: str = "", xlabel: str = "", yl
             f'font-family="sans-serif" font-size="11" '
             f'transform="rotate(-90 14 {_MT + ph // 2})">{ylabel}</text>'
         )
+    # sx and sy act elementwise in the scalar operation order, so each point
+    # equals sx(x[i]), sy(y[i]) bit for bit, as the tick marks compute them
+    px = sx(x)
+    point_fmt = " ".join(["%.6g,%.6g"] * x.size)
     for idx, (label, y) in enumerate(ys.items()):
-        pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(x, y))
+        pts = point_fmt % tuple(np.stack([px, sy(y)], axis=1).ravel().tolist())
         color = _COLORS[idx % len(_COLORS)]
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
@@ -91,7 +100,7 @@ def write_line_plot(path, x, series: dict, title: str = "", xlabel: str = "", yl
         if len(ys) > 1:
             out.append(
                 f'<text x="{_ML + 8}" y="{_MT + 14 + 13 * idx}" fill="{color}" '
-                f'font-family="sans-serif" font-size="11">{label}</text>'
+                f'font-family="sans-serif" font-size="11">{_escape(label)}</text>'
             )
     out.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

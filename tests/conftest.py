@@ -245,3 +245,17 @@ def completeness_kernel_quadrature(e, e_prime, theta, span=None):
     re = quad(lambda v: integrand(v).real, -span, span, limit=4000)[0]
     im = quad(lambda v: integrand(v).imag, -span, span, limit=4000)[0]
     return complex((4.0 * np.pi**2) ** -1 * (e * e_prime) ** -0.5 * (re + 1j * im))
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
+    return str(x)
+
+
+def write_csv_rows(path, columns, rows) -> None:
+    """Slow cross-check of ``cli.write_csv``: formats row by row, value by value."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")

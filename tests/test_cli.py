@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,8 @@ from arrowm.cli import (
     run_scenario,
 )
 from arrowm import cli, frequency_jacobian, frequency_of_eigenvalue
+from arrowm.svgplot import write_line_plot
+from conftest import write_csv_rows
 
 
 def read_csv(path):
@@ -106,6 +110,79 @@ def test_sample_configs_parse():
 def test_missing_config_file(tmp_path):
     with pytest.raises(ScenarioError, match="not found"):
         load_config("fig1", tmp_path / "nope.cfg", {})
+
+
+# ---------------------------------------------------------------------------
+# emitters
+
+# signed zeros, the smallest subnormal and normal, a value off the decimal
+# lattice, a whole float beyond 2**53 and the non-finite values
+AWKWARD_FLOATS = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1e22,
+                  float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize("as_array", [True, False], ids=["float64_array", "float_tuple"])
+def test_write_csv_matches_row_wise_oracle(tmp_path, as_array):
+    a = np.array(AWKWARD_FLOATS)
+    b = -a[::-1]
+    if not as_array:
+        a, b = tuple(a.tolist()), tuple(b.tolist())
+    n = len(a)
+    cols = (a, b, np.arange(n) - 3, list(range(-n, 0)), [f"s{k}" for k in range(n)])
+    header = ("a", "b", "i", "j", "s")
+    cli.write_csv(tmp_path / "new.csv", header, *cols)
+    write_csv_rows(tmp_path / "old.csv", header, zip(*cols))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_without_rows_writes_the_header_only(tmp_path):
+    cli.write_csv(tmp_path / "empty.csv", ("x", "y"), np.array([]), ())
+    cli.write_csv(tmp_path / "none.csv", ("check", "status"), *zip(*[]))
+    write_csv_rows(tmp_path / "old.csv", ("x", "y"), [])
+    assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "none.csv").read_text() == "check,status\n"
+
+
+def _polyline_sizes(svg_path):
+    root = ET.parse(svg_path).getroot()
+    return [len(p.get("points").split())
+            for p in root.iter("{http://www.w3.org/2000/svg}polyline")]
+
+
+def _plotted_rows(csv_path):
+    """Points per polyline of the SVG drawn from the same rows as ``csv_path``."""
+    header, rows = read_csv(csv_path)
+    if header[-1] == "path":  # one polyline per path, in sorted order
+        counts = Counter(r[-1] for r in rows)
+        return [counts[p] for p in sorted(counts)]
+    if header[0] == "m":  # rho_plus and rho_minus on the bulk window
+        bulk = sum(1e-3 <= float(r[0]) <= 1.0 - 1e-3 for r in rows)
+        return [bulk, bulk]
+    return [len(rows)]
+
+
+@pytest.mark.parametrize("sub, extra", [
+    ("spectrum", {"grid.n": 128}),
+    ("fig1", {"grid.n": 512, "times.t_end": 1.0, "times.steps": 5, "path": "both"}),
+    ("eigden", {"grid.n": 2048, "frames.density_points": 501}),
+    ("fig2", {"grid.n": 2048, "frames.times": (2.0, 4.0), "frames.x_points": 801,
+              "frames.density_points": 401}),
+])
+def test_every_svg_is_well_formed_with_one_point_per_row(tmp_path, sub, extra):
+    run_scenario(sub, cfg_for(sub, tmp_path, extra=extra))
+    svgs = sorted((tmp_path / "out").glob("*.svg"))
+    assert len(svgs) == (4 if sub == "fig2" else 1)
+    for svg in svgs:
+        assert _polyline_sizes(svg) == _plotted_rows(svg.with_suffix(".csv")), svg.name
+
+
+def test_svg_text_is_escaped(tmp_path):
+    labels = {"title": "t < 1 & x > 0", "xlabel": "<x>", "ylabel": "<M>(t)"}
+    write_line_plot(tmp_path / "p.svg", [0.0, 1.0], {"a<b": [0.0, 1.0], "c&d": [1.0, 0.0]},
+                    **labels)
+    texts = {t.text for t in ET.parse(tmp_path / "p.svg").getroot().iter(
+        "{http://www.w3.org/2000/svg}text")}
+    assert {*labels.values(), "a<b", "c&d"} <= texts
 
 
 # ---------------------------------------------------------------------------
