@@ -1,17 +1,22 @@
 """Phase evolution in the energy representation and expectation trajectories.
 
 Evolution is exact multiplication by e^{-i E_i t} (hbar = 1, time in inverse
-energy units), so any time is reachable in a single step.  The expectation of
-the time-ordering operator along an orbit is evaluated with either the direct
-Cauchy-kernel path or the fast diagonalized path, and trajectories record any
-increase beyond the monotonicity tolerance.
+energy units), so any time is reachable in a single step.  The phases are
+cos + i sin of -E_i t, computed only on the state's support, the columns from
+the first to the last nonzero amplitude; outside it the evolved amplitudes
+are 0.0.  The expectation of the time-ordering operator along an orbit is
+evaluated with either the direct Cauchy-kernel path or the fast diagonalized
+path, and trajectories record any increase beyond the monotonicity
+tolerance.
 
 A fast trajectory evolves and transforms its times in blocks, each block one
-batched pass of numpy work on its own temporaries, and deals the blocks
-round-robin to one thread per usable CPU, at most two (the calling thread
-is one of them).  Every operation is the per-time one applied
-elementwise or row by row, in the same order, so the values are bit-identical
-to ``expectation_m(evolve(state, t))`` at each time, whatever the worker count.
+batched pass of numpy work on its own temporaries (the support phases, the
+evolved amplitudes and their squares), and deals the blocks round-robin to
+one thread per usable CPU, at most two (the calling thread is one of them).
+A block is evolved by the same helper as :func:`evolve`, and every later
+operation is the per-time one applied row by row, in the same order, so the
+values are bit-identical to ``expectation_m(evolve(state, t))`` at each time,
+whatever the worker count.
 """
 from __future__ import annotations
 
@@ -33,8 +38,9 @@ PATHS = ("fast", "direct")
 _ZERO_STATE = "expectation of the zero state is undefined"
 
 # A fast trajectory's block size, at 24 bytes per (time, channel, point): a
-# block's complex amplitudes and real squares.  0.75 MiB is 4 times at
-# n = 4096 with two channels.  On a 2-core Xeon (2 MiB L2 per core), a
+# block's complex amplitudes and real squares; its phases on the support, 16
+# bytes per (time, point), are freed before the transform.  0.75 MiB is 4
+# times at n = 4096 with two channels.  On a 2-core Xeon (2 MiB L2 per core), a
 # 4000-step trajectory on two workers ran within 10 % for blocks of 4 to 64
 # times and 1.7x slower for blocks of 1; on one worker, 4 to 16 was fastest.
 _BLOCK_BYTES = 3 << 18
@@ -47,9 +53,45 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 
 
 def evolve(state: EnergyState, t: float) -> EnergyState:
-    """Propagate by time t: amplitudes times e^{-i E t}.  Norm preserving."""
-    phases = np.exp(-1j * state.grid.points * t)
-    return make_state(state.grid, state.channels, state.amplitudes * phases)
+    """Propagate by time t: amplitudes times e^{-i E t}.  Norm preserving.
+
+    Raises ValueError on a non-finite t.
+    """
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    return make_state(state.grid, state.channels,
+                      _evolved(state, np.array([t]), _support(state))[0])
+
+
+def _support(state: EnergyState) -> slice:
+    """The columns from the first to the last where any channel is nonzero.
+
+    Empty for the zero state.
+    """
+    (nonzero,) = np.nonzero(np.any(state.amplitudes != 0.0, axis=0))
+    if nonzero.size == 0:
+        return slice(0, 0)
+    return slice(int(nonzero[0]), int(nonzero[-1]) + 1)
+
+
+def _evolved(state: EnergyState, t: np.ndarray, support: slice) -> np.ndarray:
+    """The amplitudes times e^{-i E t} at each of the times t: (t.size, channels, n).
+
+    The phases are cos + i sin of -E t on ``support`` only; the columns
+    outside it are 0.0.  There the amplitudes are zero, and the phases of
+    large E t would cost a slow range reduction each.
+    """
+    arg = np.multiply.outer(t, -state.grid.points[support])
+    phases = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=phases.real)
+    np.sin(arg, out=phases.imag)
+    del arg
+    out = np.empty((t.size, *state.amplitudes.shape), dtype=complex)
+    np.multiply(state.amplitudes[:, support], phases[:, None, :], out=out[..., support])
+    out[..., :support.start] = 0.0
+    out[..., support.stop:] = 0.0
+    return out
 
 
 def expectation_m(
@@ -69,8 +111,7 @@ def expectation_m(
     """
     if path == "fast":
         mass, first = eigen_density_moments(state)
-        if mass == 0.0:
-            raise ValueError(_ZERO_STATE)
+        _check_mass(mass)
         return first / mass
     if path != "direct":
         raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
@@ -150,7 +191,8 @@ def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
     """``expectation_m(evolve(state, tk))`` for every tk in ``t``, bit for bit.
 
     The times go in blocks of b, each evolved as one (b, channels, n) array
-    and passed to :func:`_block_moments`; blocks are dealt round-robin to
+    by :func:`evolve`'s own helper on the support found once per call, and
+    passed to :func:`_block_moments`; blocks are dealt round-robin to
     min(``_WORKERS``, blocks) workers.  numpy's ufuncs and FFTs release the
     GIL on arrays this size, so the workers run in parallel.  The workers
     call no public function of the package: a tracer that wraps those keeps
@@ -162,20 +204,25 @@ def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
     starts = range(0, t.size, block)
     workers = min(_WORKERS, len(starts))
     mass, first = np.empty(t.size), np.empty(t.size)
-    rotation = -1j * grid.points
+    support = _support(state)
     _grid_factors(grid)  # a cache miss computes m(nu) here, on the calling thread
 
     def work(w: int) -> None:
         for k in starts[w::workers]:
             s = slice(k, k + block)
-            # complex times: numpy would cast real ones through a 128 KiB buffer
-            mass[s], first[s] = _block_moments(grid, state.amplitudes * np.exp(
-                np.multiply(rotation, t[s].astype(complex)[:, None]))[:, None, :])
+            mass[s], first[s] = _block_moments(grid, _evolved(state, t[s], support))
 
     _on_threads(work, workers)
+    _check_mass(mass)
+    return first / mass
+
+
+def _check_mass(mass) -> None:
+    """Raise on a zero or non-finite density mass, the fast path's undefined cases."""
     if np.any(mass == 0.0):
         raise ValueError(_ZERO_STATE)
-    return first / mass
+    if not np.all(np.isfinite(mass)):
+        raise ValueError("the eigenvalue density's mass is not finite")
 
 
 def _on_threads(work, count: int) -> None:

@@ -96,7 +96,7 @@ class _GridFactors(NamedTuple):
 
     half: np.ndarray  # e^{u_i/2}
     inverse_half: np.ndarray  # e^{-u_i/2}
-    forward: np.ndarray  # (2 pi)^{-1/2} du e^{i nu_k u_0} n, FFT order
+    forward: np.ndarray  # (2 pi)^{-1/2} du e^{i nu_k u_0}, FFT order
     inverse_phase: np.ndarray  # e^{-i nu_k u_0}, FFT order
     frequencies: np.ndarray  # ascending nu_k
     multiplier: np.ndarray  # m(nu_k) on the ascending lattice
@@ -116,7 +116,7 @@ def _grid_factors(grid: LogEnergyGrid) -> _GridFactors:
     factors = _GridFactors(
         half=np.exp(0.5 * u),
         inverse_half=np.exp(-0.5 * u),
-        forward=(2.0 * np.pi) ** -0.5 * grid.du * np.exp(1j * nu * u[0]) * grid.n,
+        forward=(2.0 * np.pi) ** -0.5 * grid.du * np.exp(1j * nu * u[0]),
         inverse_phase=np.exp(-1j * nu * u[0]),
         frequencies=frequencies,
         multiplier=eigenvalue_of_frequency(frequencies),
@@ -176,7 +176,7 @@ def forward_mellin(state: EnergyState) -> MellinSpectrum:
 def _coefficients(factors: _GridFactors, amplitudes: np.ndarray, out=None) -> np.ndarray:
     """chat over the last axis of ``amplitudes``, in FFT order; ``out`` may be ``amplitudes``."""
     chat = np.multiply(factors.half, amplitudes, out=out)
-    np.fft.ifft(chat, axis=-1, out=chat)
+    np.fft.ifft(chat, axis=-1, norm="forward", out=chat)
     return np.multiply(factors.forward, chat, out=chat)
 
 

@@ -110,8 +110,7 @@ def forward_mellin_oracle(state):
         (2.0 * np.pi) ** -0.5
         * grid.du
         * np.exp(1j * _fft_order_frequencies(grid) * u[0])
-        * grid.n
-        * np.fft.ifft(F, axis=-1)
+        * np.fft.ifft(F, axis=-1, norm="forward")
     )
     return np.fft.fftshift(chat, axes=-1)
 

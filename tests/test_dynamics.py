@@ -27,13 +27,13 @@ from arrowm import (
 
 from arrowm import dynamics
 from arrowm.mellin import _grid_factors
-from conftest import gaussian_window, zero_state
+from conftest import WIDE_BOUNDS, gaussian_window, zero_state
 
 FIG_PARAMS = GaussianPacketParams(eta=1.0, p0=0.64, xi0=0.3)
 
 
-def fig_packet(n=1024):
-    grid = make_log_grid(5e-15, 50.0, n)
+def fig_packet(n=1024, bounds=(5e-15, 50.0)):
+    grid = make_log_grid(*bounds, n)
     return normalize_state(to_energy_state(FIG_PARAMS, grid))
 
 
@@ -59,6 +59,46 @@ def test_evolve_group_law(rng):
     b = evolve(f, t1 + t2)
     diff = state_norm(make_state(g, f.channels, a.amplitudes - b.amplitudes))
     assert diff <= 1e-13
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_evolve_rejects_a_non_finite_time(t, rng):
+    f = random_smooth_state(make_log_grid(1e-2, 1e2, 64), rng)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(f, t)
+
+
+def test_evolve_keeps_zeros_outside_the_support():
+    # on the wide window the packet is exactly 0.0 above E of about 74, where
+    # E t reaches 1e22 and a phase would cost a slow range reduction
+    state = fig_packet(4096, WIDE_BOUNDS)
+    support = dynamics._support(state)
+    assert (support.start, support.stop) == (0, 2274)
+    a = state.amplitudes
+    for t in (0.37, 8.0, 32.0):
+        out = evolve(state, t).amplitudes
+        assert np.all(out[:, support.stop:] == 0.0)
+        expected = a * np.exp(-1j * state.grid.points * t)
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-15 * np.max(np.abs(a)))
+
+
+def test_evolve_of_the_zero_state_is_zero():
+    g = make_log_grid(1e-2, 1e2, 64)
+    assert dynamics._support(zero_state(g)) == slice(0, 0)
+    out = evolve(zero_state(g), 3.0).amplitudes
+    assert out.shape == (2, 64) and np.all(out == 0.0)
+
+
+def test_evolve_of_a_single_column():
+    g = make_log_grid(1e-2, 1e2, 64)
+    amps = np.zeros((2, 64), dtype=complex)
+    amps[1, 17] = 0.5 - 2.0j
+    f = make_state(g, ("+", "-"), amps)
+    assert dynamics._support(f) == slice(17, 18)
+    out = evolve(f, 1.3).amplitudes
+    expected = amps[1, 17] * np.exp(-1j * g.points[17] * 1.3)
+    assert out[1, 17] == pytest.approx(expected, rel=1e-15)
+    assert np.count_nonzero(out) == 1
 
 
 def test_expectation_lies_in_unit_interval(rng):
@@ -90,6 +130,18 @@ def test_expectation_zero_state_raises():
     g = make_log_grid(1e-2, 1e2, 64)
     with pytest.raises(ValueError):
         expectation_m(zero_state(g))
+
+
+@pytest.mark.parametrize("scale", [np.nan, 1e300])
+def test_fast_path_rejects_a_non_finite_mass(scale, rng):
+    # a NaN amplitude, or one whose |chat|^2 overflows, would read as <M> = nan
+    g = make_log_grid(1e-2, 1e2, 64)
+    f = random_smooth_state(g, rng)
+    f = make_state(g, f.channels, f.amplitudes * scale)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        expectation_m(f)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        trajectory(f, [0.0, 1.0])
 
 
 def test_trajectory_zero_state_raises():
@@ -128,10 +180,12 @@ def _block_size(state):
 
 
 @pytest.mark.parametrize("workers", [None, 1, 3])
-@pytest.mark.parametrize("kind", ["fig1_4096", "random_257"])
+@pytest.mark.parametrize("kind", ["fig1_4096", "wide_packet_4096", "random_257"])
 def test_fast_trajectory_blocks_equal_per_time_expectations(kind, workers, monkeypatch):
     if kind == "fig1_4096":
         state, t_end = fig_packet(4096), 32.0
+    elif kind == "wide_packet_4096":
+        state, t_end = fig_packet(4096, WIDE_BOUNDS), 32.0  # support 2274 of 4096
     else:
         rng = np.random.default_rng(257)
         state, t_end = random_smooth_state(make_log_grid(1e-3, 1e3, 257), rng), 5.0
