@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import EnergyState, inner_product, make_state, state_norm
+from .grid import EnergyState, _check_norm, inner_product, make_state, state_norm
 from .mellin import _block_moments, _grid_factors, eigen_density_moments
 from .operator import DenseOperator, apply_m_direct, build_dense_m
 
@@ -35,7 +35,6 @@ __all__ = ["Trajectory", "evolve", "expectation_m", "trajectory", "MONOTONE_TOL"
 MONOTONE_TOL = 1e-8
 _IMAG_TOL = 1e-10
 PATHS = ("fast", "direct")
-_ZERO_STATE = "expectation of the zero state is undefined"
 
 # A fast trajectory's block size, at 24 bytes per (time, channel, point): a
 # block's complex amplitudes and real squares; its phases on the support, 16
@@ -105,19 +104,18 @@ def expectation_m(
     guaranteed to lie in (0, 1).  The direct path contracts the sampled
     Cauchy-kernel operator with the grid inner product and raises if an
     imaginary part beyond 1e-10 appears (an asymmetry bug would surface here
-    rather than be hidden by symmetrization).  Raises on the zero state: the
-    fast path reads it off the density's mass, the direct path off the norm
-    it divides by.
+    rather than be hidden by symmetrization).  Raises ValueError on a zero or
+    non-finite norm, on both routes: the fast path reads it off the density's
+    mass, the direct path off the norm it divides by, before building M.
     """
     if path == "fast":
         mass, first = eigen_density_moments(state)
-        _check_mass(mass)
+        _check_norm(mass)
         return first / mass
     if path != "direct":
         raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
     nrm2 = state_norm(state) ** 2
-    if nrm2 == 0.0:
-        raise ValueError(_ZERO_STATE)
+    _check_norm(nrm2)
     if operator is None:
         operator = build_dense_m(state.grid)
     q = inner_product(state, apply_m_direct(state, operator))
@@ -213,16 +211,8 @@ def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
             mass[s], first[s] = _block_moments(grid, _evolved(state, t[s], support))
 
     _on_threads(work, workers)
-    _check_mass(mass)
+    _check_norm(mass)
     return first / mass
-
-
-def _check_mass(mass) -> None:
-    """Raise on a zero or non-finite density mass, the fast path's undefined cases."""
-    if np.any(mass == 0.0):
-        raise ValueError(_ZERO_STATE)
-    if not np.all(np.isfinite(mass)):
-        raise ValueError("the eigenvalue density's mass is not finite")
 
 
 def _on_threads(work, count: int) -> None:

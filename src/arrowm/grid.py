@@ -42,8 +42,8 @@ class LogEnergyGrid:
     """Truncated energy half-line [e_min, e_max], n points uniform in u = ln E.
 
     Grids compare and hash by (e_min, e_max, n); every array derives from
-    these three.  Raises ValueError on non-positive e_min, e_max <= e_min,
-    or n that is not a whole number of at least 2.
+    these three.  Raises ValueError unless 0 < e_min < e_max < inf and n is
+    a finite whole number of at least 2; NaN satisfies neither.
 
     Attributes
     ----------
@@ -66,11 +66,9 @@ class LogEnergyGrid:
 
     def __post_init__(self):
         e_min, e_max, n = self.e_min, self.e_max, self.n
-        if not (e_min > 0.0):
-            raise ValueError(f"grid e_min must be positive, got {e_min}")
-        if not (e_max > e_min):
-            raise ValueError(f"grid e_max must exceed e_min, got [{e_min}, {e_max}]")
-        if n < 2 or n != int(n):
+        if not (0.0 < e_min < e_max < np.inf):
+            raise ValueError(f"grid needs 0 < e_min < e_max < inf, got [{e_min}, {e_max}]")
+        if not (2 <= n < np.inf and n == int(n)):
             raise ValueError(f"need a whole number of at least 2 grid points, got {n}")
         n = int(n)
         u0 = np.log(e_min)
@@ -150,10 +148,19 @@ def state_norm(state: EnergyState) -> float:
     return float(np.sqrt(np.sum(state.grid.weights * np.abs(state.amplitudes) ** 2)))
 
 
+def _check_norm(norm) -> None:
+    """Raise ValueError where a norm or density mass (float or array) is 0 or not finite."""
+    norm = np.asarray(norm)
+    if (norm == 0.0).any():
+        raise ValueError("the zero state has no normalization or expectation value")
+    if not np.isfinite(norm).all():
+        raise ValueError("the state's norm or density mass is not finite")
+
+
 def normalize_state(state: EnergyState) -> EnergyState:
+    """The state divided by its norm.  Raises ValueError on a zero or non-finite norm."""
     nrm = state_norm(state)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero state")
+    _check_norm(nrm)
     return make_state(state.grid, state.channels, state.amplitudes / nrm)
 
 

@@ -334,12 +334,13 @@ def completeness_kernel_check(e: float, e_prime: float, theta: float) -> complex
     Evaluates (4 pi^2)^{-1} (E E')^{-1/2} B(1 - y, y) with
     y = -(i/2 pi) ln(e^{i theta} E/E'), using B(1 - y, y) = pi / sin(pi y).
     As theta -> 0+ the value converges to the Cauchy kernel
-    -(2 pi i)^{-1} (E - E')^{-1} at rate O(theta) off the diagonal.
+    -(2 pi i)^{-1} (E - E')^{-1} at rate O(theta) off the diagonal.  Raises
+    ValueError unless E, E' and theta are positive and finite (NaN is neither).
     """
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if e <= 0.0 or e_prime <= 0.0:
-        raise ValueError("energies must be positive")
+    if not 0.0 < theta < np.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
+    if not (0.0 < e < np.inf and 0.0 < e_prime < np.inf):
+        raise ValueError(f"energies must be positive and finite, got {e}, {e_prime}")
     y = (theta - 1j * np.log(e / e_prime)) / (2.0 * np.pi)
     return complex(
         (4.0 * np.pi**2) ** -1 * (e * e_prime) ** -0.5 * np.pi / np.sin(np.pi * y)

@@ -69,6 +69,8 @@ def test_parse_config_bad_value_reports_line():
         parse_config_text("grid.n = eight\n")
     with pytest.raises(ScenarioError, match="line 2"):
         parse_config_text("grid.n = 8\npath = sideways\n")
+    with pytest.raises(ScenarioError, match="line 2: bad value for 'output.svg'"):
+        parse_config_text("grid.n = 8\noutput.svg = maybe\n")
 
 
 @pytest.mark.parametrize("value", ["", ","])
@@ -183,6 +185,13 @@ def test_svg_text_is_escaped(tmp_path):
     texts = {t.text for t in ET.parse(tmp_path / "p.svg").getroot().iter(
         "{http://www.w3.org/2000/svg}text")}
     assert {*labels.values(), "a<b", "c&d"} <= texts
+
+
+@pytest.mark.parametrize("x, y", [([1.0], [2.0]), ([0.0, 1.0, 2.0], [3.0, 3.0, 3.0])],
+                         ids=["single_point", "constant_series"])
+def test_svg_of_a_zero_width_range_is_well_formed(tmp_path, x, y):
+    write_line_plot(tmp_path / "p.svg", x, {"y": y})
+    assert _polyline_sizes(tmp_path / "p.svg") == [len(x)]
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +363,7 @@ def test_main_rejects_bad_config(tmp_path, capsys):
 @pytest.mark.parametrize("sub,text", [
     ("fig1", "times.t_start = -1\n"),
     ("evolve", "state.kind = eigenfunction\nstate.m = 1.5\n"),
+    ("evolve", "state.window_flat = 0.9\nstate.kind = eigenfunction\n"),
     ("fig1", "times.steps = 1\n"),
     ("evolve", "times.steps = 5\nstate.p0 = nan\n"),
     ("fig2", "frames.times = \n"),
@@ -434,6 +444,15 @@ def test_main_cli_overrides(tmp_path):
     eig = np.array([float(r[1]) for r in rows])
     assert eig.size == 512  # packaged default grid
     assert np.all((eig >= -1e-6) & (eig <= 1.0 + 1e-6))
+
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("grid.n = 256\ntimes.steps = 5\n")
+    assert main(["fig1", "--path", "both", "--config", str(cfg),
+                 "--out", str(tmp_path / "f")]) == 0
+    lines = (tmp_path / "f" / "summary.txt").read_text().splitlines()
+    summary = dict(line.split(" = ", 1) for line in lines)
+    assert summary["path"] == "both" and "m_start_direct" in summary
+    assert float(summary["dual_path_max_expectation_diff"]) < 1e-3
 
 
 def test_determinism_fig1_reruns_byte_identical(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arrowm
 from arrowm import (
@@ -27,6 +30,7 @@ from arrowm import (
 
 from arrowm import dynamics
 from arrowm.mellin import _grid_factors
+from arrowm.operator import _circulant_fft
 from conftest import WIDE_BOUNDS, gaussian_window, zero_state
 
 FIG_PARAMS = GaussianPacketParams(eta=1.0, p0=0.64, xi0=0.3)
@@ -142,6 +146,61 @@ def test_fast_path_rejects_a_non_finite_mass(scale, rng):
         expectation_m(f)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
         trajectory(f, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, 1e300])
+def test_direct_path_and_normalize_reject_a_non_finite_norm(scale, rng):
+    # the norm reads nan or inf, so <M> would read nan and the normalized
+    # state would be NaN or zero
+    g = make_log_grid(1e-2, 1e2, 64)
+    f = random_smooth_state(g, rng)
+    with np.errstate(all="ignore"):
+        f = make_state(g, f.channels, f.amplitudes * scale)
+        with pytest.raises(ValueError, match="not finite"):
+            expectation_m(f, path="direct")
+        with pytest.raises(ValueError, match="not finite"):
+            trajectory(f, [0.0, 1.0], path="direct")
+        with pytest.raises(ValueError, match="not finite"):
+            normalize_state(f)
+
+
+def test_expectation_is_invariant_under_scaling():
+    # the norm check never fires inside the domain: <M> of c psi is <M> of
+    # psi for any finite nonzero c, on both routes
+    g = make_log_grid(1e-3, 1e3, 256)
+    op = build_dense_m(g)
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        decades=st.floats(-100.0, 100.0),
+        phase=st.floats(-np.pi, np.pi),
+    )
+    def check(seed, decades, phase):
+        f = random_smooth_state(g, np.random.default_rng(seed))
+        scaled = make_state(g, f.channels, f.amplitudes * (10.0**decades * np.exp(1j * phase)))
+        for path in ("fast", "direct"):
+            a = expectation_m(f, path, op)
+            assert abs(expectation_m(scaled, path, op) - a) <= 1e-14, path
+
+    check()
+
+
+def test_direct_path_builds_the_operator_when_none_is_given(rng):
+    g = make_log_grid(1e-2, 1e2, 64)
+    f = random_smooth_state(g, rng)
+    assert expectation_m(f, "direct") == expectation_m(f, "direct", build_dense_m(g))
+
+
+def test_direct_path_raises_on_an_imaginary_part(rng):
+    # a Toeplitz T whose first row is its first column, not its conjugate, is
+    # not Hermitian, so the quadratic form is complex
+    g = make_log_grid(1e-2, 1e2, 64)
+    op = build_dense_m(g)
+    broken = dataclasses.replace(op, circulant_fft=_circulant_fft(op.column, op.column))
+    f = random_smooth_state(g, rng)
+    with pytest.raises(ArithmeticError, match="imaginary part"):
+        expectation_m(f, "direct", broken)
 
 
 def test_trajectory_zero_state_raises():

@@ -70,7 +70,9 @@ def test_quadrature_convergence_order():
 
 @pytest.mark.parametrize(
     "args",
-    [(0.0, 1.0, 8), (-1.0, 1.0, 8), (1.0, 1.0, 8), (2.0, 1.0, 8), (1.0, 2.0, 1), (1.0, 2.0, 2.5)],
+    [(0.0, 1.0, 8), (-1.0, 1.0, 8), (1.0, 1.0, 8), (2.0, 1.0, 8), (1.0, 2.0, 1), (1.0, 2.0, 2.5),
+     (1e-3, np.inf, 8), (np.nan, 1.0, 8), (1.0, np.nan, 8), (1.0, 2.0, np.inf),
+     (1.0, 2.0, np.nan)],
 )
 def test_make_log_grid_domain_errors(args):
     with pytest.raises(ValueError):

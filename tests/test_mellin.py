@@ -456,6 +456,10 @@ def test_completeness_kernel_domain_errors():
         completeness_kernel_check(1.0, 2.0, 0.0)
     with pytest.raises(ValueError):
         completeness_kernel_check(-1.0, 2.0, 1e-3)
+    for args in ((1.0, 2.0, np.nan), (np.nan, 2.0, 1e-5), (1.0, np.inf, 1e-5),
+                 (1.0, 2.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            completeness_kernel_check(*args)
     with pytest.raises(ValueError):
         completeness_kernel_quadrature(1.0, 2.0, -1e-3)
 
