@@ -157,10 +157,10 @@ def trajectory(
 ) -> Trajectory:
     """Evaluate the expectation along {U(t) psi : t in times}.
 
-    ``times`` must be finite and strictly increasing with times[0] >= 0.
-    The fast path runs the times in blocks on up to two CPUs (see the
-    module notes); the direct path builds the dense operator once when
-    none is given.
+    ``times`` must be finite and strictly increasing; like :func:`evolve`,
+    they may be negative.  The fast path runs the times in blocks on up to
+    two CPUs (see the module notes); the direct path builds the dense
+    operator once when none is given.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -169,8 +169,6 @@ def trajectory(
         raise ValueError("times must be finite")
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("times must be strictly increasing")
-    if t[0] < 0.0:
-        raise ValueError("trajectory starts at t >= 0")
     if path == "fast":
         values = _fast_expectations(state, t)
     else:

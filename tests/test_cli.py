@@ -109,6 +109,14 @@ def test_sample_configs_parse():
         assert parse_config_text(path.read_text(encoding="utf-8"))
 
 
+def test_fig1_sample_config_is_the_packaged_fig1_defaults():
+    # its comment says so; only the output directory differs
+    path = Path(__file__).parent.parent / "configs" / "fig1.cfg"
+    sample, packaged = load_config("fig1", path), load_config("fig1")
+    assert sample.pop("output.dir") != packaged.pop("output.dir")
+    assert sample == packaged
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(ScenarioError, match="not found"):
         load_config("fig1", tmp_path / "nope.cfg", {})
@@ -361,7 +369,7 @@ def test_main_rejects_bad_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sub,text", [
-    ("fig1", "times.t_start = -1\n"),
+    ("fig1", "times.t_end = -1\n"),
     ("evolve", "state.kind = eigenfunction\nstate.m = 1.5\n"),
     ("evolve", "state.window_flat = 0.9\nstate.kind = eigenfunction\n"),
     ("fig1", "times.steps = 1\n"),
@@ -406,6 +414,24 @@ def test_main_fast_path_accepts_any_grid_size(tmp_path):
     assert summary["grid.n"] == "1000" and summary["path"] == "fast"
     assert float(summary["m_start_fast"]) == pytest.approx(0.5, abs=1e-6)
     assert int(summary["n_monotone_violations_fast"]) == 0
+
+
+def test_main_fig1_over_the_whole_time_line(tmp_path):
+    # negative times are times too: <M>(t) + <M>(-t) = 1 for the real packet
+    cfg = tmp_path / "whole_line.cfg"
+    cfg.write_text("grid.n = 1024\ntimes.t_start = -16\ntimes.t_end = 16\n"
+                   "times.steps = 41\n")
+    out = tmp_path / "o"
+    assert main(["fig1", "--path", "both", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
+    _, rows = read_csv(out / "trajectory.csv")
+    for p in ("fast", "direct"):
+        m_start, m_end = float(summary[f"m_start_{p}"]), float(summary[f"m_end_{p}"])
+        assert m_start + m_end == pytest.approx(1.0, abs=1e-12), p
+        assert int(summary[f"n_monotone_violations_{p}"]) == 0, p
+        vals = np.array([float(r[1]) for r in rows if r[2] == p])
+        assert vals.size == 41
+        assert np.max(np.abs(vals + vals[::-1] - 1.0)) <= 1e-12, p
 
 
 _RUN_WITHOUT_SCIPY = """

@@ -239,20 +239,24 @@ def _block_size(state):
 
 
 @pytest.mark.parametrize("workers", [None, 1, 3])
-@pytest.mark.parametrize("kind", ["fig1_4096", "wide_packet_4096", "random_257"])
+@pytest.mark.parametrize("kind", ["fig1_4096", "wide_packet_4096", "random_257",
+                                  "whole_line_4096"])
 def test_fast_trajectory_blocks_equal_per_time_expectations(kind, workers, monkeypatch):
+    t_start = 0.0
     if kind == "fig1_4096":
         state, t_end = fig_packet(4096), 32.0
     elif kind == "wide_packet_4096":
         state, t_end = fig_packet(4096, WIDE_BOUNDS), 32.0  # support 2274 of 4096
-    else:
+    elif kind == "random_257":
         rng = np.random.default_rng(257)
         state, t_end = random_smooth_state(make_log_grid(1e-3, 1e3, 257), rng), 5.0
+    else:
+        state, t_start, t_end = fig_packet(4096, WIDE_BOUNDS), -32.0, 32.0
     if workers is not None:
         monkeypatch.setattr(dynamics, "_WORKERS", workers)
     b = _block_size(state)
     for count in sorted({2, b - 1, b, b + 1, 4 * b + 3} - {0, 1}):
-        times = np.linspace(0.0, t_end, count)
+        times = np.linspace(t_start, t_end, count)
         expected = [expectation_m(evolve(state, t)) for t in times]
         assert np.array_equal(trajectory(state, times).values, expected), count
 
@@ -340,13 +344,16 @@ def test_trajectory_rejects_bad_time_grids(rng):
         trajectory(f, [0.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         trajectory(f, [1.0, 0.5, 2.0])
-    with pytest.raises(ValueError):
-        trajectory(f, [-1.0, 0.5])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        trajectory(f, [0.5, -1.0])
     with pytest.raises(ValueError):
         trajectory(f, [1.0])
     for bad in ([0.0, np.nan], [np.nan, 1.0], [0.0, np.inf], [0.0, 1.0, np.nan, 3.0]):
         with pytest.raises(ValueError, match="finite"):
             trajectory(f, bad)
+    # a time is any finite number, negative ones included, as for evolve
+    values = trajectory(f, [-1.0, 0.5]).values
+    assert values[0] > values[1]
 
 
 # A trajectory of the fig1 packet at n = 4096 in a fresh process that imports
@@ -431,6 +438,57 @@ def test_backward_time_expectation_increases(rng):
         backward = expectation_m(evolve(f, -1.5))
         now = expectation_m(f)
         assert backward >= now >= forward
+
+
+def _reversal_residual(traj):
+    """max |<M>(t) + <M>(-t) - 1| over a trajectory on times symmetric about 0."""
+    return float(np.max(np.abs(traj.values + traj.values[::-1] - 1.0)))
+
+
+@pytest.mark.parametrize("bounds", [(5e-15, 50.0), WIDE_BOUNDS], ids=["fig1", "wide"])
+def test_time_reversal_identity_on_both_routes(bounds, rng):
+    # for a real state conj(U(t) f) = U(-t) f, and m(nu) + m(-nu) = 1 (fast)
+    # or J A J = I - A (direct) turn that into <M>(t) + <M>(-t) = 1
+    times = np.linspace(-16.0, 16.0, 41)
+    packet = fig_packet(4096, bounds)
+    op = build_dense_m(packet.grid)
+    for path in ("fast", "direct"):
+        traj = trajectory(packet, times, path, op)
+        assert _reversal_residual(traj) <= 1e-12, path
+        assert traj.monotone_violations == [], path
+        assert traj.values[20] == pytest.approx(0.5, abs=1e-12), path
+    # the identity is not true by construction: a complex state breaks it,
+    # while its real part keeps it
+    g = make_log_grid(1e-3, 1e3, 4096)
+    f = random_smooth_state(g, rng, center_fraction=0.08, sigma_range=(0.35, 0.5),
+                            freq_max=2.0)
+    real = normalize_state(make_state(g, f.channels, f.amplitudes.real))
+    op = build_dense_m(g)
+    for path in ("fast", "direct"):
+        assert _reversal_residual(trajectory(f, times, path, op)) > 1e-2, path
+        assert _reversal_residual(trajectory(real, times, path, op)) <= 1e-12, path
+
+
+def test_time_reversal_identity_property_random_real_states():
+    # Nyquist-safe states as in test_lyapunov_property_random_states, on an
+    # odd count of times symmetric about 0
+    g = make_log_grid(1e-3, 1e3, 1024)
+    op = build_dense_m(g)
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), t_max=st.floats(0.5, 5.0),
+           half_count=st.integers(1, 10))
+    def check(seed, t_max, half_count):
+        f = random_smooth_state(g, np.random.default_rng(seed), center_fraction=0.08,
+                                sigma_range=(0.35, 0.5), freq_max=2.0)
+        real = normalize_state(make_state(g, f.channels, f.amplitudes.real))
+        times = np.linspace(-t_max, t_max, 2 * half_count + 1)
+        for path in ("fast", "direct"):
+            traj = trajectory(real, times, path, op)
+            assert _reversal_residual(traj) <= 1e-13, path
+            assert traj.monotone_violations == [], path
+
+    check()
 
 
 def test_mirrored_packet_has_identical_expectation_trajectory():
