@@ -46,6 +46,7 @@ from .mellin import (
     eigen_density_moments,
     eigenvalue_of_frequency,
     forward_mellin,
+    frequency_grid,
     frequency_jacobian,
     frequency_of_eigenvalue,
     inverse_mellin,
@@ -298,6 +299,11 @@ def run_spectrum(cfg: dict, out: Path) -> dict:
                         {"eigenvalue": eigvals}, title="dense spectrum",
                         xlabel="index", ylabel="eigenvalue")
     bins = np.histogram(eigvals, bins=20, range=(0.0, 1.0))[0]
+    # Szego: the eigenvalues distribute like the values of the Toeplitz
+    # symbol, sampled by the 2n circulant embedding; the fast route's
+    # multiplier m(nu_k) is the continuum symbol on its own lattice
+    symbol = np.sort(0.5 + op.circulant_fft.real)[::2]
+    multiplier = np.sort(eigenvalue_of_frequency(frequency_grid(grid)))
     return {
         "quadrature": cfg["operator.quadrature"],
         "grid.e_min": cfg["grid.e_min"], "grid.e_max": cfg["grid.e_max"], "grid.n": cfg["grid.n"],
@@ -305,6 +311,8 @@ def run_spectrum(cfg: dict, out: Path) -> dict:
         "eigenvalue_min": float(eigvals[0]),
         "eigenvalue_max": float(eigvals[-1]),
         "occupied_bins_of_20": int(np.count_nonzero(bins)),
+        "w1_to_symbol": float(np.mean(np.abs(eigvals - symbol))),
+        "w1_to_multiplier": float(np.mean(np.abs(eigvals - multiplier))),
         "timing_build_s": t1 - t0,
         "timing_eigensolve_s": t2 - t1,
     }

@@ -4,7 +4,9 @@ from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
 from arrowm import CHANNELS, eigenvalue_of_frequency, make_log_grid, make_state, tukey_window
-from arrowm.operator import QUADRATURES, _circulant_fft, _endpoint_scale, _toeplitz_apply
+from arrowm.operator import (
+    QUADRATURES, _circulant_fft, _endpoint_scale, _reversal_block, _toeplitz_apply,
+)
 
 # Cross-path comparisons need a wide log window: the fast path wraps the
 # operator output around the grid period, so the Toeplitz/circulant mismatch
@@ -70,6 +72,11 @@ def toeplitz_matrix(op):
     A[:, [0, -1]] *= 0.5**0.5
     np.fill_diagonal(A, 0.5)
     return A
+
+
+def reversal_singular_values(op):
+    """Singular values of the time-reversal block by SVD, descending."""
+    return np.linalg.svd(_reversal_block(op), compute_uv=False)
 
 
 def mellin_ndft(state, nu):

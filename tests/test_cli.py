@@ -232,6 +232,36 @@ def test_spectrum_scenario_accepts_odd_grid(tmp_path):
     assert summary["occupied_bins_of_20"] == 20
 
 
+def test_spectrum_summary_distances_to_symbol_and_multiplier_decay(tmp_path):
+    # Szego's first limit theorem: the eigenvalues distribute like the values
+    # of the Toeplitz symbol, so W1 to the sampled symbol falls like 1/n.  The
+    # parity rule's symbol tends to m(nu); the subtraction rule's first-order
+    # error keeps it about 0.25 from m(nu) at every n.
+    w1 = {}
+    for quadrature in ("parity", "subtraction"):
+        for n in (256, 512, 1024):
+            cfg = cfg_for("spectrum", tmp_path, extra={"grid.n": n, "output.svg": False,
+                                                       "operator.quadrature": quadrature})
+            summary = run_scenario("spectrum", cfg)
+            w1[quadrature, n] = summary["w1_to_symbol"], summary["w1_to_multiplier"]
+    for quadrature in ("parity", "subtraction"):
+        for n in (256, 512):
+            assert w1[quadrature, n][0] >= 1.6 * w1[quadrature, 2 * n][0]
+    for n in (256, 512):
+        assert w1["parity", n][1] >= 1.6 * w1["parity", 2 * n][1]
+    assert all(w1["subtraction", n][1] >= 0.2 for n in (256, 512, 1024))
+
+
+def test_main_spectrum_beyond_physical_memory_exits_two_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"grid.n = {2**20}\n")
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("arrow-m spectrum: ") and err.count("\n") == 1
+    assert "bytes" in err and "Traceback" not in err
+
+
 def test_trajectory_scenario_summary_matches_csv(tmp_path):
     cfg = cfg_for("fig1", tmp_path,
                   extra={"grid.n": 512, "times.t_end": 8.0, "times.steps": 20})

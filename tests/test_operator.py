@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import arrowm
 from arrowm import (
     DenseOperator,
     apply_m_direct,
@@ -25,6 +30,7 @@ from conftest import (
     dense_assembly,
     interior_residual,
     pv_cauchy_quadrature,
+    reversal_singular_values,
     subtraction_selfterm,
     toeplitz_matrix,
     zero_state,
@@ -122,6 +128,20 @@ def test_dense_spectrum_matches_eigvalsh(bounds, n, quadrature):
     assert np.max(np.abs(dense_spectrum(op) - reference)) <= 1e-12
 
 
+@pytest.mark.parametrize("bounds", [(1e-3, 1e3), WIDE_BOUNDS])
+@pytest.mark.parametrize("n", [2048, 2049])
+@pytest.mark.parametrize("quadrature", ["parity", "subtraction"])
+def test_dense_spectrum_matches_svd_oracle(bounds, n, quadrature):
+    # the Gram route squares the block's condition number; its error is
+    # largest at the smallest singular value, the eigenvalue nearest 1/2
+    op = build_dense_m(make_log_grid(*bounds, n), quadrature)
+    s = reversal_singular_values(op)
+    reference = np.sort(np.concatenate((0.5 - s, np.full(n - 2 * s.size, 0.5), 0.5 + s)))
+    ev = dense_spectrum(op)
+    assert np.max(np.abs(ev - reference)) <= 1e-12
+    assert abs(ev[(n + 1) // 2] - (0.5 + s[-1])) <= 1e-12
+
+
 @pytest.mark.parametrize("bounds,n,quadrature", SPECTRUM_CASES)
 def test_dense_spectrum_symmetric_about_one_half(bounds, n, quadrature):
     # J A J = I - A: the discrete form of m(nu) + m(-nu) = 1
@@ -137,6 +157,50 @@ def test_dense_spectrum_rejects_column_with_real_part():
                         circulant_fft=_circulant_fft(column, column.conj()))
     with pytest.raises(ValueError, match="purely imaginary"):
         dense_spectrum(bad)
+
+
+def test_dense_spectrum_refuses_more_than_physical_memory():
+    # n = 2**20 needs 2 (n/2)^2 float64 = 4.4 TB; the operator itself is 48 MB
+    op = build_dense_m(make_log_grid(1e-3, 1e3, 2**20), "subtraction")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"needs {2 * 8 * (2**19)**2} bytes"):
+            dense_spectrum(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# dense_spectrum at n = 2048 in a fresh process that imports the library
+# alone, printing how far ru_maxrss (KiB) grew over three calls after the first.
+_REPEATED_SPECTRUM = """
+import resource
+import arrowm
+op = arrowm.build_dense_m(arrowm.make_log_grid(1e-3, 1e3, 2048), "subtraction")
+arrowm.dense_spectrum(op)
+first = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for _ in range(3):
+    arrowm.dense_spectrum(op)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - first)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc thresholds")
+def test_repeated_dense_spectrum_does_not_grow_the_heap():
+    # With B allocated before its Gram matrix, each later call grew the
+    # heap by one more 8 MB array (+8.1 MB); Gram first, +0.5 MB.  The heap
+    # layout shifts with the size of the environment, so the run repeats at
+    # three paddings.
+    src = str(Path(arrowm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for pad in (0, 256, 4096):
+        done = subprocess.run([sys.executable, "-c", _REPEATED_SPECTRUM],
+                              env={**env, "ARROWM_TEST_PAD": "x" * pad},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.splitlines()[-1]) < 4 * 1024, pad
 
 
 def test_dense_spectrum_avoids_exact_endpoints():
