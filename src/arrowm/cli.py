@@ -243,15 +243,22 @@ def build_scenario_state(cfg: dict, grid):
     return normalize_state(state)
 
 
-def eigen_density_frame(state, points: int):
-    """(nu, m, rho, covered_mass, mass, first_moment) on a frequency-uniform m grid.
+# Negative-frequency edge of a density frame: eigenvalues closer to 1 than
+# m(-5.5) = 1 - 1e-15 are not representable in double precision.
+_FRAME_NU_EDGE = -5.5
 
-    The negative-frequency edge is pinned at -5.5 because eigenvalues closer
-    to 1 than about 1e-15 are not representable in double precision; the
+
+def eigen_density_frame(state, points: int):
+    """(nu, m, rho, covered_mass, mass, first_moment, mass_below_edge) of one frame.
+
+    The frame is the density on a frequency-uniform m grid.  Its
+    negative-frequency edge is pinned at -5.5 (see ``_FRAME_NU_EDGE``); the
     positive edge adapts so the discrete mass beyond it is below 1e-8, and
     stays within [12, 100].  ``mass`` and ``first_moment`` are those of
     :func:`eigen_density_moments`, from the same transform, so
     first_moment / mass is the state's expectation of M.
+    ``mass_below_edge`` is the lattice weight at nu < -5.5 over ``mass``:
+    the share of the state that lies beyond the frame's m = 1 end.
     """
     spec = forward_mellin(state)
     weight = spectral_weight(spec)
@@ -259,11 +266,12 @@ def eigen_density_frame(state, points: int):
     beyond = np.nonzero(tail < 1e-8)[0]
     span_pos = spec.frequencies[beyond[0]] if beyond.size else spec.frequencies[-1]
     span_pos = float(np.clip(span_pos + 2.0, 12.0, 100.0))
-    nu, rho = eigen_density(state, -5.5, span_pos, points)
+    nu, rho = eigen_density(state, _FRAME_NU_EDGE, span_pos, points)
     m = eigenvalue_of_frequency(nu)
     covered = float(np.trapezoid(np.sum(rho, axis=0) * frequency_jacobian(m), nu))
     mass, first = _moments(spec.grid, weight)
-    return nu, m, rho, covered, float(mass), float(first)
+    below = float(np.sum(weight[spec.frequencies < _FRAME_NU_EDGE]) / mass)
+    return nu, m, rho, covered, float(mass), float(first), below
 
 
 def _write_density_frame(out: Path, stem: str, t: float, nu, m, rho, svg: bool) -> None:
@@ -367,7 +375,7 @@ def run_eigden(cfg: dict, out: Path) -> dict:
     state = build_scenario_state(cfg, grid)
     t = cfg["density.time"]
     t0 = time.perf_counter()
-    nu, m, rho, covered, mass, first = eigen_density_frame(
+    nu, m, rho, covered, mass, first, below = eigen_density_frame(
         evolve(state, t), points=cfg["frames.density_points"])
     t1 = time.perf_counter()
     _write_density_frame(out, "eigen_density", t, nu, m, rho, cfg["output.svg"])
@@ -375,6 +383,7 @@ def run_eigden(cfg: dict, out: Path) -> dict:
         "time": t,
         "grid.e_min": cfg["grid.e_min"], "grid.e_max": cfg["grid.e_max"], "grid.n": cfg["grid.n"],
         "frame_covered_mass": covered,
+        "frame_density_mass_below_edge": below,
         "density_mass": mass,
         "density_first_moment": first,
         "timing_density_s": t1 - t0,
@@ -401,7 +410,7 @@ def run_fig2(cfg: dict, out: Path) -> dict:
         if cfg["output.svg"]:
             write_line_plot(out / f"position_density_{k:02d}.svg", x, {"density": dens},
                             title=f"|psi(x, t)|^2 at t = {t:g}", xlabel="x", ylabel="density")
-        nu, m, rho, covered, mass, first = eigen_density_frame(
+        nu, m, rho, covered, mass, first, below = eigen_density_frame(
             evolve(state, t), points=cfg["frames.density_points"])
         _write_density_frame(out, f"eigen_density_{k:02d}", t, nu, m, rho, cfg["output.svg"])
         mass_x = float(np.trapezoid(dens, x))
@@ -411,6 +420,7 @@ def run_fig2(cfg: dict, out: Path) -> dict:
         summary[f"frame_{k:02d}_position_mass"] = mass_x
         summary[f"frame_{k:02d}_position_variance"] = var_x
         summary[f"frame_{k:02d}_density_covered_mass"] = covered
+        summary[f"frame_{k:02d}_density_mass_below_edge"] = below
         summary[f"frame_{k:02d}_expectation_m"] = first / mass
     summary["timing_frames_s"] = time.perf_counter() - t0
     return summary
@@ -511,6 +521,10 @@ def _verify_checks():
     record("fig1_max_increase", traj.max_increase, MONOTONE_TOL)
     record("fig1_initial_expectation_offset", abs(traj.values[0] - 0.5), 1e-6)
     record("fig1_half_decay", traj.terminal_value, 0.5 * traj.values[0])
+    # for the real packet, conj(U(t) f) = U(-t) f and m(nu) + m(-nu) = 1; the
+    # times are a progression, so the fast route takes the group law here
+    sym = trajectory(packet, np.linspace(-8.0, 8.0, 33)).values
+    record("time_reversal_identity", float(np.max(np.abs(sym + sym[::-1] - 1.0))), 1e-13)
     m_back, m_now = expectation_m(evolve(packet, -2.0)), expectation_m(packet)
     record("backward_time_increase", m_back - m_now, np.inf, ok=m_back > m_now)
     minus_mass = float(np.sum(figg.weights * np.abs(packet.amplitudes[1]) ** 2))

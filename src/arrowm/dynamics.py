@@ -13,10 +13,15 @@ A fast trajectory evolves and transforms its times in blocks, each block one
 batched pass of numpy work on its own temporaries (the support phases, the
 evolved amplitudes and their squares), and deals the blocks round-robin to
 one thread per usable CPU, at most two (the calling thread is one of them).
-A block is evolved by the same helper as :func:`evolve`, and every later
-operation is the per-time one applied row by row, in the same order, so the
-values are bit-identical to ``expectation_m(evolve(state, t))`` at each time,
-whatever the worker count.
+A block is evolved by the same helper as :func:`evolve`.  When the times are
+an arithmetic progression, that helper uses the group law
+U(t_q + r dt) = U(t_q) U(r dt): a block's first row is cos + i sin as in
+:func:`evolve`, and its row r is that row times the step row e^{-i E r dt},
+computed once per call.  Every later operation is the per-time one applied
+row by row, in the same order.  So the values equal
+``expectation_m(evolve(state, t))`` bit for bit at block starts and at every
+time off a progression, and to within 1e-15 elsewhere; they are
+bit-identical whatever the worker count.
 """
 from __future__ import annotations
 
@@ -42,6 +47,10 @@ PATHS = ("fast", "direct")
 # times at n = 4096 with two channels.  On a 2-core Xeon (2 MiB L2 per core), a
 # 4000-step trajectory on two workers ran within 10 % for blocks of 4 to 64
 # times and 1.7x slower for blocks of 1; on one worker, 4 to 16 was fastest.
+# Those were timed with cos + i sin on every row.  A progression adds the
+# b - 1 step rows of the group law, 16 bytes per (row, point) once per call
+# (192 KB at n = 4096), and takes cos + i sin once per block, so larger
+# blocks would save more phases but hold a larger step table.
 _BLOCK_BYTES = 3 << 18
 # Worker threads of a fast trajectory: the usable CPUs, at most 2.  Each
 # worker first-touches its temporaries and numpy's buffers once per call
@@ -74,23 +83,60 @@ def _support(state: EnergyState) -> slice:
     return slice(int(nonzero[0]), int(nonzero[-1]) + 1)
 
 
-def _evolved(state: EnergyState, t: np.ndarray, support: slice) -> np.ndarray:
+def _evolved(state: EnergyState, t: np.ndarray, support: slice,
+             steps: np.ndarray | None = None) -> np.ndarray:
     """The amplitudes times e^{-i E t} at each of the times t: (t.size, channels, n).
 
     The phases are cos + i sin of -E t on ``support`` only; the columns
     outside it are 0.0.  There the amplitudes are zero, and the phases of
-    large E t would cost a slow range reduction each.
+    large E t would cost a slow range reduction each.  With ``steps``, the
+    rows e^{-i E r dt} of :func:`_progression_steps`, only row 0 is cos +
+    i sin and row r is row 0 times ``steps[r - 1]``: the group law
+    U(t_0 + r dt) = U(t_0) U(r dt).
     """
-    arg = np.multiply.outer(t, -state.grid.points[support])
-    phases = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=phases.real)
-    np.sin(arg, out=phases.imag)
-    del arg
+    energies = state.grid.points[support]
+    phases = np.empty((t.size, energies.size), dtype=complex)
+    if steps is None:
+        _phases(t, energies, phases)
+    else:
+        _phases(t[:1], energies, phases[:1])
+        np.multiply(phases[0], steps[:t.size - 1], out=phases[1:])
     out = np.empty((t.size, *state.amplitudes.shape), dtype=complex)
     np.multiply(state.amplitudes[:, support], phases[:, None, :], out=out[..., support])
     out[..., :support.start] = 0.0
     out[..., support.stop:] = 0.0
     return out
+
+
+def _phases(t: np.ndarray, energies: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[k]`` = e^{-i E t_k} as cos + i sin of -E t_k, for each time t_k."""
+    arg = np.multiply.outer(t, -energies)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
+def _progression_steps(state: EnergyState, t: np.ndarray, block: int,
+                       support: slice) -> np.ndarray | None:
+    """The step rows e^{-i E r dt} on the support, r = 1 .. b - 1, or None.
+
+    None unless ``t`` is an arithmetic progression in blocks of b = ``block``
+    to within rounding: with dt = (t[-1] - t[0]) / (T - 1), each t_k lies
+    within 4 eps max|t| of t_q + r dt, where t_q is the first time of t_k's
+    block and r its offset in the block.  None also when a block holds one
+    time, so there is no step to take.
+    """
+    count = min(block, t.size) - 1
+    if count == 0:
+        return None
+    dt = (t[-1] - t[0]) / (t.size - 1)
+    k = np.arange(t.size)
+    r = k % block
+    if np.max(np.abs(t - (t[k - r] + r * dt))) > 4 * np.finfo(float).eps * np.max(np.abs(t)):
+        return None
+    energies = state.grid.points[support]
+    return _phases(np.arange(1, count + 1) * dt, energies,
+                   np.empty((count, energies.size), dtype=complex))
 
 
 def expectation_m(
@@ -114,7 +160,11 @@ def expectation_m(
         return first / mass
     if path != "direct":
         raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
-    nrm2 = state_norm(state) ** 2
+    nrm = state_norm(state)
+    try:
+        nrm2 = nrm**2
+    except OverflowError:  # a finite norm whose square is not
+        nrm2 = np.inf
     _check_norm(nrm2)
     if operator is None:
         operator = build_dense_m(state.grid)
@@ -184,11 +234,12 @@ def trajectory(
 
 
 def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
-    """``expectation_m(evolve(state, tk))`` for every tk in ``t``, bit for bit.
+    """``expectation_m(evolve(state, tk))`` for every tk in ``t`` (see the module notes).
 
     The times go in blocks of b, each evolved as one (b, channels, n) array
-    by :func:`evolve`'s own helper on the support found once per call, and
-    passed to :func:`_block_moments`; blocks are dealt round-robin to
+    by :func:`evolve`'s own helper on the support found once per call, with
+    the step rows of :func:`_progression_steps` when ``t`` is a progression,
+    and passed to :func:`_block_moments`; blocks are dealt round-robin to
     min(``_WORKERS``, blocks) workers.  numpy's ufuncs and FFTs release the
     GIL on arrays this size, so the workers run in parallel.  The workers
     call no public function of the package: a tracer that wraps those keeps
@@ -201,12 +252,13 @@ def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
     workers = min(_WORKERS, len(starts))
     mass, first = np.empty(t.size), np.empty(t.size)
     support = _support(state)
+    steps = _progression_steps(state, t, block, support)
     _grid_factors(grid)  # a cache miss computes m(nu) here, on the calling thread
 
     def work(w: int) -> None:
         for k in starts[w::workers]:
             s = slice(k, k + block)
-            mass[s], first[s] = _block_moments(grid, _evolved(state, t[s], support))
+            mass[s], first[s] = _block_moments(grid, _evolved(state, t[s], support, steps))
 
     _on_threads(work, workers)
     _check_norm(mass)

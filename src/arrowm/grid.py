@@ -143,9 +143,25 @@ def inner_product(a: EnergyState, b: EnergyState) -> complex:
     return complex(np.sum(a.grid.weights * np.conj(a.amplitudes) * b.amplitudes))
 
 
+# Where max|a| lies outside this band, |a|^2 would overflow, or lose digits
+# to underflow, before the weighted sum; there :func:`state_norm` divides the
+# amplitudes by max|a| before squaring them.
+_NORM_SAFE_BAND = (1e-100, 1e100)
+
+
 def state_norm(state: EnergyState) -> float:
-    """L2 norm of the state over all channels."""
-    return float(np.sqrt(np.sum(state.grid.weights * np.abs(state.amplitudes) ** 2)))
+    """L2 norm of the state over all channels.
+
+    Amplitudes whose largest modulus lies outside [1e-100, 1e100] are
+    divided by it before they are squared, and the norm is scaled back, so
+    |a|^2 neither overflows nor underflows.  NaN or inf amplitudes give a
+    NaN or inf norm.
+    """
+    a = np.abs(state.amplitudes)
+    peak = a.max()
+    if 0.0 < peak < np.inf and not _NORM_SAFE_BAND[0] <= peak <= _NORM_SAFE_BAND[1]:
+        return float(peak * np.sqrt(np.sum(state.grid.weights * (a / peak) ** 2)))
+    return float(np.sqrt(np.sum(state.grid.weights * a ** 2)))
 
 
 def _check_norm(norm) -> None:

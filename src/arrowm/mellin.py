@@ -154,12 +154,7 @@ def _frequency_spacing(grid: LogEnergyGrid) -> float:
 
 def spectral_weight(spec: MellinSpectrum) -> np.ndarray:
     """|chat(nu_k)|^2 dnu summed over channels: the state's mass at each frequency."""
-    return _weight(spec.coefficients, spec.dnu)
-
-
-def _weight(chat: np.ndarray, dnu: float) -> np.ndarray:
-    """|chat|^2 summed over the channel axis (the second to last) times dnu."""
-    return np.sum(np.square(np.abs(chat)), axis=-2) * dnu
+    return np.sum(np.square(np.abs(spec.coefficients)), axis=-2) * spec.dnu
 
 
 def forward_mellin(state: EnergyState) -> MellinSpectrum:
@@ -279,14 +274,26 @@ def eigen_density_moments(state: EnergyState) -> tuple[float, float]:
 def _block_moments(grid: LogEnergyGrid, amplitudes: np.ndarray):
     """:func:`eigen_density_moments` of a block of states: (mass, first), each of shape (b,).
 
-    Each row goes through the helpers of :func:`forward_mellin`,
-    :func:`spectral_weight` and :func:`_moments`, so it equals
-    :func:`eigen_density_moments` bit for bit.  ``amplitudes`` (complex,
-    shape (b, channels, n)) is overwritten by the coefficients.
+    Each row goes through the helpers of :func:`forward_mellin` and
+    :func:`_moments`.  The weight is :func:`spectral_weight` formed in place:
+    |chat| is squared in place, summed over the channels straight into
+    ascending-frequency order (the fftshift), then multiplied by dnu in
+    place.  Those are :func:`spectral_weight`'s operations in its order, so
+    each row equals :func:`eigen_density_moments` bit for bit.
+    ``amplitudes`` (complex, shape (b, channels, n)) is overwritten by the
+    coefficients.
     """
     chat = _coefficients(_grid_factors(grid), amplitudes, out=amplitudes)
-    weight = _weight(chat, _frequency_spacing(grid))
-    return _moments(grid, np.fft.fftshift(weight, axes=-1))
+    square = np.abs(chat)
+    np.square(square, out=square)
+    n = grid.n
+    low = n - n // 2  # FFT indices [0, low) hold the frequencies >= 0
+    weight = np.empty((chat.shape[0], n))
+    np.sum(square[..., :low], axis=-2, out=weight[:, n - low:])
+    np.sum(square[..., low:], axis=-2, out=weight[:, :n - low])
+    del square  # before _moments allocates m(nu) * weight
+    weight *= _frequency_spacing(grid)
+    return _moments(grid, weight)
 
 
 def _moments(grid: LogEnergyGrid, weight: np.ndarray):

@@ -361,6 +361,23 @@ def test_fig2_density_csv_nu_column_gives_covered_mass(tmp_path):
         assert abs(covered - summary[f"frame_{k:02d}_density_covered_mass"]) <= 1e-12
 
 
+def test_density_frames_report_the_mass_below_the_frame_edge(tmp_path):
+    # the frames end at nu = -5.5, where m is within 1e-15 of 1; at t = -4
+    # the packet reaches past it, so the covered mass reads 0.99905 and the
+    # lattice weight below the edge says where the rest went
+    small = {"frames.x_points": 101, "frames.density_points": 101, "output.svg": False}
+    fig2 = run_scenario("fig2", cfg_for("fig2", tmp_path / "fig2",
+                                        extra={**small, "frames.times": (-4.0, 2.0)}))
+    assert fig2["frame_00_density_covered_mass"] == pytest.approx(0.99905, abs=1e-5)
+    assert fig2["frame_00_density_mass_below_edge"] == pytest.approx(8.8e-4, rel=5e-3)
+    assert fig2["frame_01_density_mass_below_edge"] == pytest.approx(2.2e-7, rel=5e-3)
+    for k, t in enumerate((-4.0, 2.0)):
+        eigden = run_scenario("eigden", cfg_for("eigden", tmp_path / f"eigden{k}",
+                                                extra={**small, "density.time": t}))
+        assert (eigden["frame_density_mass_below_edge"]
+                == fig2[f"frame_{k:02d}_density_mass_below_edge"])
+
+
 def test_fig2_requires_gaussian_state(tmp_path):
     cfg = cfg_for("fig2", tmp_path, config_text="state.kind = eigenfunction\n",
                   extra={"grid.e_min": 1e-8, "grid.e_max": 1e8, "grid.n": 1024})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,32 @@ def test_normalize_zero_state_raises():
     g = make_log_grid(1e-2, 1e2, 64)
     with pytest.raises(ValueError):
         normalize_state(zero_state(g))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+def test_state_norm_keeps_its_range(scale, rng):
+    # |a|^2 overflows at 1e160 and underflows into subnormals at 1e-160 or to
+    # zero at 1e-170, so the norm read inf, a few tenths of a percent off, or
+    # 0.0 until it divided the amplitudes by max|a| first
+    g = make_log_grid(1e-2, 1e2, 64)
+    f = random_smooth_state(g, rng)
+    scaled = make_state(g, f.channels, f.amplitudes * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = state_norm(scaled)
+        back = normalize_state(scaled)
+    expected = scale * state_norm(f)
+    assert abs(norm - expected) <= 1e-15 * expected
+    assert state_norm(back) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_state_norm_inside_the_safe_band_is_the_plain_sum(rng):
+    g = make_log_grid(1e-2, 1e2, 64)
+    f = random_smooth_state(g, rng)
+    for scale in (1.0, 1e-99, 1e99):
+        a = f.amplitudes * scale
+        plain = float(np.sqrt(np.sum(g.weights * np.abs(a) ** 2)))
+        assert state_norm(make_state(g, f.channels, a)) == plain, scale
 
 
 def test_state_and_grid_are_immutable(rng):
