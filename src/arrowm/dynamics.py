@@ -22,6 +22,13 @@ row by row, in the same order.  So the values equal
 ``expectation_m(evolve(state, t))`` bit for bit at block starts and at every
 time off a progression, and to within 1e-15 elsewhere; they are
 bit-identical whatever the worker count.
+
+A direct trajectory checks the norm once, before it builds an operator, and
+evolves its times in the same blocks, on the same support and with the same
+step rows.  Each evolved state then goes through :func:`apply_m_direct` on
+the calling thread, and its quadratic form is divided by the one squared
+norm, so the values lie within 1e-15 of
+``expectation_m(evolve(state, t), "direct")``.
 """
 from __future__ import annotations
 
@@ -31,7 +38,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import EnergyState, _check_norm, inner_product, make_state, state_norm
+from .grid import (
+    EnergyState, _check_norm, _readonly, _support, inner_product, make_state, state_norm,
+)
 from .mellin import _block_moments, _grid_factors, eigen_density_moments
 from .operator import DenseOperator, apply_m_direct, build_dense_m
 
@@ -41,9 +50,10 @@ MONOTONE_TOL = 1e-8
 _IMAG_TOL = 1e-10
 PATHS = ("fast", "direct")
 
-# A fast trajectory's block size, at 24 bytes per (time, channel, point): a
-# block's complex amplitudes and real squares; its phases on the support, 16
-# bytes per (time, point), are freed before the transform.  0.75 MiB is 4
+# A trajectory's block size on either path, at 24 bytes per (time, channel,
+# point): a fast block's complex amplitudes and real squares (a direct block
+# holds the amplitudes only); its phases on the support, 16 bytes per (time,
+# point), are freed before the transform.  0.75 MiB is 4
 # times at n = 4096 with two channels.  On a 2-core Xeon (2 MiB L2 per core), a
 # 4000-step trajectory on two workers ran within 10 % for blocks of 4 to 64
 # times and 1.7x slower for blocks of 1; on one worker, 4 to 16 was fastest.
@@ -70,17 +80,6 @@ def evolve(state: EnergyState, t: float) -> EnergyState:
         raise ValueError(f"time must be finite, got {t}")
     return make_state(state.grid, state.channels,
                       _evolved(state, np.array([t]), _support(state))[0])
-
-
-def _support(state: EnergyState) -> slice:
-    """The columns from the first to the last where any channel is nonzero.
-
-    Empty for the zero state.
-    """
-    (nonzero,) = np.nonzero(np.any(state.amplitudes != 0.0, axis=0))
-    if nonzero.size == 0:
-        return slice(0, 0)
-    return slice(int(nonzero[0]), int(nonzero[-1]) + 1)
 
 
 def _evolved(state: EnergyState, t: np.ndarray, support: slice,
@@ -160,18 +159,29 @@ def expectation_m(
         return first / mass
     if path != "direct":
         raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
+    nrm2 = _checked_norm2(state)
+    if operator is None:
+        operator = build_dense_m(state.grid)
+    return _direct_form(state, operator, nrm2)
+
+
+def _checked_norm2(state: EnergyState) -> float:
+    """||psi||^2; raises ValueError where it is 0 or not finite."""
     nrm = state_norm(state)
     try:
         nrm2 = nrm**2
     except OverflowError:  # a finite norm whose square is not
         nrm2 = np.inf
     _check_norm(nrm2)
-    if operator is None:
-        operator = build_dense_m(state.grid)
+    return nrm2
+
+
+def _direct_form(state: EnergyState, operator: DenseOperator, nrm2: float) -> float:
+    """Re (psi, M psi) / ``nrm2`` by the direct route; ArithmeticError on an imaginary part."""
     q = inner_product(state, apply_m_direct(state, operator))
     if abs(q.imag) > _IMAG_TOL * nrm2:
         raise ArithmeticError(
-            f"expectation value has imaginary part {q.imag:.3e} (path={path!r})"
+            f"expectation value has imaginary part {q.imag:.3e} (path='direct')"
         )
     return q.real / nrm2
 
@@ -208,9 +218,10 @@ def trajectory(
     """Evaluate the expectation along {U(t) psi : t in times}.
 
     ``times`` must be finite and strictly increasing; like :func:`evolve`,
-    they may be negative.  The fast path runs the times in blocks on up to
-    two CPUs (see the module notes); the direct path builds the dense
-    operator once when none is given.
+    they may be negative.  Both paths evolve the times in blocks (see the
+    module notes); the fast path runs them on up to two CPUs.  The direct
+    path checks the norm once and then builds the dense operator, when none
+    is given.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -221,16 +232,47 @@ def trajectory(
         raise ValueError("times must be strictly increasing")
     if path == "fast":
         values = _fast_expectations(state, t)
+    elif path == "direct":
+        values = _direct_expectations(state, t, operator)
     else:
-        if path == "direct" and operator is None:
-            operator = build_dense_m(state.grid)
-        values = np.array([expectation_m(evolve(state, tk), path, operator) for tk in t])
+        raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
     violations = [
         (float(t[k]), float(t[k + 1]), float(d))
         for k, d in enumerate(np.diff(values))
         if d > MONOTONE_TOL
     ]
     return Trajectory(times=t, values=values, path=path, monotone_violations=violations)
+
+
+def _block_size(state: EnergyState) -> int:
+    """Times per block: ``_BLOCK_BYTES`` at 24 bytes per (time, channel, point)."""
+    channels, n = state.amplitudes.shape
+    return max(1, _BLOCK_BYTES // (24 * channels * n))
+
+
+def _direct_expectations(state: EnergyState, t: np.ndarray,
+                         operator: DenseOperator | None) -> np.ndarray:
+    """``expectation_m(evolve(state, tk), "direct", operator)`` for every tk in ``t``.
+
+    The norm is checked once, before the operator is built; U(t) preserves
+    it.  The times are evolved in the fast route's blocks, on the support
+    found once, with the group law on a progression, and each evolved state
+    goes through :func:`apply_m_direct` on the calling thread.
+    """
+    nrm2 = _checked_norm2(state)
+    if operator is None:
+        operator = build_dense_m(state.grid)
+    block = _block_size(state)
+    support = _support(state)
+    steps = _progression_steps(state, t, block, support)
+    values = np.empty(t.size)
+    for k in range(0, t.size, block):
+        evolved = _readonly(_evolved(state, t[k:k + block], support, steps))
+        for r, amplitudes in enumerate(evolved):
+            values[k + r] = _direct_form(EnergyState(state.grid, state.channels, amplitudes),
+                                         operator, nrm2)
+        del evolved, amplitudes  # before the next block is made
+    return values
 
 
 def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
@@ -246,8 +288,7 @@ def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
     one span stack per process.
     """
     grid = state.grid
-    channels, n = state.amplitudes.shape
-    block = max(1, _BLOCK_BYTES // (24 * channels * n))
+    block = _block_size(state)
     starts = range(0, t.size, block)
     workers = min(_WORKERS, len(starts))
     mass, first = np.empty(t.size), np.empty(t.size)

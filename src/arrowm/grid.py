@@ -137,10 +137,25 @@ def _check_compatible(a: EnergyState, b: EnergyState) -> None:
         raise ValueError(f"channel sets differ: {a.channels} vs {b.channels}")
 
 
+def _support(state: EnergyState) -> slice:
+    """The columns from the first to the last where any channel is nonzero.
+
+    Empty for the zero state.
+    """
+    (nonzero,) = np.nonzero(np.any(state.amplitudes != 0.0, axis=0))
+    if nonzero.size == 0:
+        return slice(0, 0)
+    return slice(int(nonzero[0]), int(nonzero[-1]) + 1)
+
+
 def inner_product(a: EnergyState, b: EnergyState) -> complex:
     """L2 inner product sum_lambda int conj(a) b dE, conjugate-linear in ``a``."""
     _check_compatible(a, b)
-    return complex(np.sum(a.grid.weights * np.conj(a.amplitudes) * b.amplitudes))
+    # w conj(a) b, formed in one temporary
+    terms = np.conj(a.amplitudes)
+    terms *= a.grid.weights
+    terms *= b.amplitudes
+    return complex(np.sum(terms))
 
 
 # Where max|a| lies outside this band, |a|^2 would overflow, or lose digits

@@ -405,6 +405,13 @@ def test_unwritable_output_directory(tmp_path):
 
 def test_main_verify_exits_zero(tmp_path):
     assert main(["verify", "--out", str(tmp_path / "v")]) == 0
+    rows = {row[0]: row[1:] for row in
+            (line.split(",") for line in
+             (tmp_path / "v" / "verify_results.csv").read_text().splitlines()[1:])}
+    # Szego at n = 256 on (1e-3, 1e3): the parity eigenvalues lie 6.25e-3 from m(nu_k)
+    status, value, tol = rows["szego_parity_to_multiplier"]
+    assert status == "PASS" and float(tol) == 1e-2
+    assert float(value) == pytest.approx(6.25e-3, rel=0.01)
 
 
 def test_main_rejects_bad_config(tmp_path, capsys):

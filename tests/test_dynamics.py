@@ -205,6 +205,47 @@ def test_direct_path_raises_on_an_imaginary_part(rng):
     f = random_smooth_state(g, rng)
     with pytest.raises(ArithmeticError, match="imaginary part"):
         expectation_m(f, "direct", broken)
+    with pytest.raises(ArithmeticError, match="imaginary part"):
+        trajectory(f, np.linspace(0.0, 2.0, 5), path="direct", operator=broken)
+
+
+def test_direct_trajectory_refuses_a_bad_state_before_building_the_operator(monkeypatch, rng):
+    g = make_log_grid(1e-2, 1e2, 64)
+    f = random_smooth_state(g, rng)
+    calls = []
+
+    def counted(grid, *args):
+        calls.append(grid)
+        return build_dense_m(grid, *args)
+
+    monkeypatch.setattr(dynamics, "build_dense_m", counted)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        trajectory(make_state(g, f.channels, f.amplitudes * np.nan), [0.0, 1.0], path="direct")
+    with pytest.raises(ValueError, match="zero state"):
+        trajectory(zero_state(g), [0.0, 1.0], path="direct")
+    assert calls == []
+    trajectory(f, [0.0, 1.0], path="direct")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [257, 4096])
+def test_direct_trajectory_equals_per_time_expectations(n):
+    # the wide packet (trailing zeros); on a progression the blocks take the
+    # group law, off one every row is cos + i sin, as in evolve
+    packet = fig_packet(n, WIDE_BOUNDS)
+    op = build_dense_m(packet.grid)
+    block = dynamics._block_size(packet)
+    support = dynamics._support(packet)
+    assert support.start == 0 and support.stop < n
+    on = np.linspace(0.0, 32.0, 41)
+    off = on.copy()
+    off[7] += 1e-9 * (on[1] - on[0])
+    for times, progression in ((on, True), (off, False)):
+        steps = dynamics._progression_steps(packet, times, block, support)
+        assert (steps is not None) == progression
+        expected = [expectation_m(evolve(packet, t), "direct", op) for t in times]
+        values = trajectory(packet, times, path="direct", operator=op).values
+        assert np.max(np.abs(values - expected)) <= 1e-15
 
 
 def test_trajectory_zero_state_raises():
@@ -237,11 +278,6 @@ def test_trajectory_is_expectation_along_the_orbit(rng):
     assert np.array_equal(trajectory(f, times).values, expected)
 
 
-def _block_size(state):
-    channels, n = state.amplitudes.shape
-    return max(1, dynamics._BLOCK_BYTES // (24 * channels * n))
-
-
 @pytest.mark.parametrize("workers", [None, 1, 3])
 @pytest.mark.parametrize("kind", ["fig1_4096", "wide_packet_4096", "random_257",
                                   "whole_line_4096"])
@@ -262,7 +298,7 @@ def test_fast_trajectory_blocks_equal_per_time_expectations(kind, workers, monke
         state, t_start, t_end = fig_packet(4096, WIDE_BOUNDS), -32.0, 32.0
     if workers is not None:
         monkeypatch.setattr(dynamics, "_WORKERS", workers)
-    b = _block_size(state)
+    b = dynamics._block_size(state)
     workers = dynamics._WORKERS
     for count in sorted({2, b - 1, b, b + 1, 4 * b + 3} - {0, 1}):
         times = np.linspace(t_start, t_end, count)
@@ -289,7 +325,7 @@ def test_fast_trajectory_follows_the_group_law_on_progressions():
     # at |t| of 85 with the default random_smooth_state)
     g = make_log_grid(1e-3, 1e3, 256)
     b = 64
-    assert _block_size(random_smooth_state(g, np.random.default_rng(0))) == b
+    assert dynamics._block_size(random_smooth_state(g, np.random.default_rng(0))) == b
 
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), t0=st.floats(-10.0, 10.0),
@@ -423,7 +459,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_library_trajectory_does_not_fault_per_step():
     # Without the 4 MiB block freed at `import arrowm`, glibc's start-up
     # thresholds make every step of the direct path fault its arrays in
-    # afresh: about 17,700 faults for its 50 steps, against about 410 with
+    # afresh: about 4,200 faults for its 50 steps, against about 410 with
     # the block.  The fast run allocates per block of times and faults about
     # 760 times with the block, 1,070 or more without.
     # Whether the start-up thresholds fault depends on the heap layout,

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import arrowm
 from arrowm import (
     DenseOperator,
+    GaussianPacketParams,
     apply_m_direct,
     apply_m_fast,
     build_dense_m,
@@ -20,14 +22,19 @@ from arrowm import (
     make_state,
     random_smooth_state,
     state_norm,
+    to_energy_state,
+    tukey_window,
     windowed_eigenfunction,
 )
+from arrowm import operator
+from arrowm.grid import _support
 from arrowm.operator import _circulant_fft
 
 from conftest import (
     WIDE_BOUNDS,
     cauchy_kernel,
     dense_assembly,
+    full_apply_m,
     interior_residual,
     pv_cauchy_quadrature,
     reversal_singular_values,
@@ -87,11 +94,88 @@ def test_unknown_quadrature_rejected():
         build_dense_m(make_log_grid(1e-2, 1e2, 16), quadrature="midpoint")
 
 
-def test_apply_zero_state_is_zero():
+def test_apply_zero_state_is_zero(monkeypatch):
     g = make_log_grid(1e-2, 1e2, 64)
     op = build_dense_m(g)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("the zero state needs no FFT")
+
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    monkeypatch.setattr(np.fft, "ifft", no_fft)
     out = apply_m_direct(zero_state(g), op)
     assert np.all(out.amplitudes == 0.0)
+
+
+def _support_cases(g, rng):
+    """A state of each support shape on ``g``: name -> state."""
+    noise = rng.normal(size=(2, g.n)) + 1j * rng.normal(size=(2, g.n))
+    leading = noise.copy()
+    leading[:, : g.n // 3] = 0.0
+    column = np.zeros((2, g.n), dtype=complex)
+    column[1, g.n // 2] = 1.0 - 2.0j
+    return {
+        "full": make_state(g, ("+", "-"), noise),
+        "leading_zeros": make_state(g, ("+", "-"), leading),
+        # the fig1 packet is exactly 0.0 above E of about 74
+        "trailing_zeros": to_energy_state(GaussianPacketParams(1.0, 0.64, 0.3), g),
+        "interior": windowed_eigenfunction(g, 0.3, "+", tukey_window(g, 20.0, 5.0)),
+        "one_column": make_state(g, ("+", "-"), column),
+    }
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    for size in range(1, 2500):
+        assert operator._fft_length(size) == next(
+            m for m in itertools.count(size) if _is_5_smooth(m)), size
+    assert operator._fft_length(4096 + 2274 - 1) == 6400
+    assert operator._fft_length(2 * 4096 - 1) == 8192
+
+
+@pytest.mark.parametrize("n", [257, 1024])
+@pytest.mark.parametrize("quadrature", ["parity", "subtraction"])
+def test_support_sized_convolution_equals_the_2n_convolution(rng, n, quadrature):
+    # the oracle convolves every column with the 2n circulant embedding
+    g = make_log_grid(*WIDE_BOUNDS, n)
+    op = build_dense_m(g, quadrature)
+    cases = _support_cases(g, rng)
+    supports = {name: _support(f) for name, f in cases.items()}
+    assert supports["full"] == slice(0, n)
+    assert supports["leading_zeros"] == slice(n // 3, n)
+    assert supports["trailing_zeros"].start == 0 and supports["trailing_zeros"].stop < n
+    assert 0 < supports["interior"].start and supports["interior"].stop < n
+    assert supports["one_column"] == slice(n // 2, n // 2 + 1)
+    for name, f in cases.items():
+        reference = full_apply_m(f, op)
+        diff = apply_m_direct(f, op).amplitudes - reference
+        err = state_norm(make_state(g, f.channels, diff))
+        assert err <= 1e-14 * state_norm(make_state(g, f.channels, reference)), name
+        length = supports[name].stop - supports[name].start
+        kernel = operator._support_kernel(op, supports[name])
+        assert kernel.size == next(m for m in itertools.count(n + length - 1) if _is_5_smooth(m))
+
+
+def test_support_kernels_are_kept_per_operator(rng):
+    g = make_log_grid(*WIDE_BOUNDS, 257)
+    op = build_dense_m(g)
+    f = to_energy_state(GaussianPacketParams(1.0, 0.64, 0.3), g)
+    first = operator._support_kernel(op, _support(f))
+    apply_m_direct(f, op)
+    assert operator._support_kernel(op, _support(f)) is first
+    # another operator, or the same one after more supports than it keeps,
+    # builds afresh
+    assert operator._support_kernel(build_dense_m(g), _support(f)) is not first
+    for stop in range(2, 2 + operator._KERNELS_KEPT):
+        operator._support_kernel(op, slice(0, stop))
+        assert len(op._kernels) <= operator._KERNELS_KEPT
+    assert operator._support_kernel(op, _support(f)) is not first
 
 
 def test_apply_grid_mismatch_raises(rng):
