@@ -32,6 +32,7 @@ norm, so the values lie within 1e-15 of
 """
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -68,6 +69,13 @@ _BLOCK_BYTES = 3 << 18
 # measured, on a 2-core Xeon, where 2 ran a 4000-step trajectory 1.7x faster.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
+# Band of max|a| inside which <M> is evaluated as given.  Both routes sum
+# squares (w |a|^2, |chat|^2), which overflow or go subnormal far enough
+# outside it: random_smooth_state on four grids, from (1e-3, 1e3) to
+# (1e-22, 1e21) and n = 64 to 4096, scaled by 2^k in steps of 10, kept <M>
+# within 1e-15 on both routes for max|a| from about 2^-490 to 2^510, and
+# not beyond.  Outside the band a state is first scaled to max|a| in [1/2, 1).
+_SAFE_PEAK = (2.0**-400, 2.0**400)
 
 
 def evolve(state: EnergyState, t: float) -> EnergyState:
@@ -149,20 +157,37 @@ def expectation_m(
     guaranteed to lie in (0, 1).  The direct path contracts the sampled
     Cauchy-kernel operator with the grid inner product and raises if an
     imaginary part beyond 1e-10 appears (an asymmetry bug would surface here
-    rather than be hidden by symmetrization).  Raises ValueError on a zero or
-    non-finite norm, on both routes: the fast path reads it off the density's
-    mass, the direct path off the norm it divides by, before building M.
+    rather than be hidden by symmetrization).  A state whose largest
+    amplitude lies outside [2^-400, 2^400] is first scaled by a power of two,
+    exactly, so its squares neither overflow nor go subnormal.  Raises
+    ValueError on a zero or non-finite norm, on both routes: the fast path
+    reads it off the density's mass, the direct path off the norm it divides
+    by, before building M.
     """
+    if path not in PATHS:
+        raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
+    state = _in_safe_range(state)
     if path == "fast":
         mass, first = eigen_density_moments(state)
         _check_norm(mass)
         return first / mass
-    if path != "direct":
-        raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
     nrm2 = _checked_norm2(state)
     if operator is None:
         operator = build_dense_m(state.grid)
     return _direct_form(state, operator, nrm2)
+
+
+def _in_safe_range(state: EnergyState) -> EnergyState:
+    """The state, times an exact power of two where max|a| lies outside ``_SAFE_PEAK``.
+
+    <M> is the same for every nonzero multiple of a state.  A zero or
+    non-finite maximum leaves the state as it is, for the norm checks.
+    """
+    peak = float(np.max(np.abs(state.amplitudes)))
+    if not 0.0 < peak < np.inf or _SAFE_PEAK[0] <= peak <= _SAFE_PEAK[1]:
+        return state
+    scaled = np.ldexp(state.amplitudes.view(float), -math.frexp(peak)[1])
+    return EnergyState(state.grid, state.channels, _readonly(scaled.view(complex)))
 
 
 def _checked_norm2(state: EnergyState) -> float:
@@ -218,10 +243,10 @@ def trajectory(
     """Evaluate the expectation along {U(t) psi : t in times}.
 
     ``times`` must be finite and strictly increasing; like :func:`evolve`,
-    they may be negative.  Both paths evolve the times in blocks (see the
-    module notes); the fast path runs them on up to two CPUs.  The direct
-    path checks the norm once and then builds the dense operator, when none
-    is given.
+    they may be negative.  The state is scaled as in :func:`expectation_m`.
+    Both paths evolve the times in blocks (see the module notes); the fast
+    path runs them on up to two CPUs.  The direct path checks the norm once
+    and then builds the dense operator, when none is given.
     """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -230,6 +255,7 @@ def trajectory(
         raise ValueError("times must be finite")
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("times must be strictly increasing")
+    state = _in_safe_range(state)
     if path == "fast":
         values = _fast_expectations(state, t)
     elif path == "direct":

@@ -1,12 +1,15 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrowm.cli import (
     ScenarioError,
@@ -15,7 +18,7 @@ from arrowm.cli import (
     parse_config_text,
     run_scenario,
 )
-from arrowm import cli, frequency_jacobian, frequency_of_eigenvalue
+from arrowm import _csvtext, cli, frequency_jacobian, frequency_of_eigenvalue
 from arrowm.svgplot import write_line_plot
 from conftest import write_csv_rows
 
@@ -151,6 +154,118 @@ def test_write_csv_without_rows_writes_the_header_only(tmp_path):
     write_csv_rows(tmp_path / "old.csv", ("x", "y"), [])
     assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert (tmp_path / "none.csv").read_text() == "check,status\n"
+
+
+def _write_both(tmp_path, *columns):
+    """Bytes of ``cli.write_csv`` and of the row-wise oracle for the same columns."""
+    header = tuple(f"c{k}" for k in range(len(columns)))
+    cli.write_csv(tmp_path / "new.csv", header, *columns)
+    write_csv_rows(tmp_path / "old.csv", header, zip(*columns))
+    return (tmp_path / "new.csv").read_bytes(), (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_matches_the_oracle_on_any_float(tmp_path):
+    # every float64, subnormals, signed zeros and non-finite values included,
+    # and raw bit patterns, which reach every exponent evenly
+    bits = st.integers(0, 2**64 - 1).map(
+        lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True) | bits,
+                    min_size=1, max_size=50))
+    def check(values):
+        a = np.array(values)
+        new, old = _write_both(tmp_path, a, -a[::-1])
+        assert new == old
+
+    check()
+
+
+def test_write_csv_matches_the_oracle_at_every_decade_boundary(tmp_path):
+    # 10^e and both of its float neighbours, where the rounded digits may
+    # carry into the next decade
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    new, old = _write_both(tmp_path, values, -values)
+    assert new == old
+
+
+def test_write_csv_matches_the_oracle_when_every_value_takes_python_s_path(
+        tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(3000) * 10.0 ** rng.uniform(-30.0, 30.0, 3000)
+    monkeypatch.setattr(_csvtext, "_NEAR_TIE", 1.0)  # |fraction - 1/2| is always below 1
+    new, old = _write_both(tmp_path, values, values[::-1])
+    assert new == old
+
+
+@pytest.mark.parametrize("sub, extra", [
+    ("fig1", {"grid.n": 512, "times.t_end": 1.0, "times.steps": 5, "path": "both"}),
+    ("fig2", {"grid.n": 512, "frames.times": (2.0, 4.0), "frames.x_points": 101,
+              "frames.density_points": 101}),
+    ("eigden", {"grid.n": 512, "frames.density_points": 101}),
+    ("spectrum", {"grid.n": 128}),
+    ("verify", {}),
+])
+def test_every_csv_is_python_s_formatting_of_its_values(tmp_path, sub, extra):
+    # a %.17g text parses back to its float exactly, so re-formatting the
+    # parsed values by the oracle must give the file's bytes again
+    run_scenario(sub, cfg_for(sub, tmp_path, extra=extra))
+    csvs = sorted((tmp_path / "out").glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        header, rows = read_csv(path)
+        write_csv_rows(tmp_path / "oracle.csv", header,
+                       [[_parsed(cell) for cell in row] for row in rows])
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes(), path.name
+
+
+def _parsed(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def test_write_csv_writes_other_columns_by_python_s_str(tmp_path):
+    # a float32 column's first element is no float, so its cells are the str
+    # of Python floats, as for ints and strs
+    a = np.array([0.1, 0.2, 2.5], dtype=np.float32)
+    cli.write_csv(tmp_path / "f32.csv", ("a", "s"), a, ["x", "yz", "é"])
+    expected = "a,s\n" + "".join(f"{v},{w}\n" for v, w in zip(a.tolist(), ["x", "yz", "é"]))
+    assert (tmp_path / "f32.csv").read_bytes() == expected.encode()
+
+
+def test_write_csv_rejects_a_nul_in_a_str_cell(tmp_path):
+    # NUL bytes pad the cells and are dropped, so a NUL of the cell's own would vanish
+    with pytest.raises(ValueError, match="NUL"):
+        cli.write_csv(tmp_path / "nul.csv", ("x", "s"), [1.5], ["a\0b"])
+
+
+def test_write_csv_memory_is_bounded(tmp_path):
+    # blocks of a few thousand values: 200,000 rows peaked at 0.78 MB
+    x = np.linspace(-1.0, 1.0, 200_000)
+    y = np.exp(x) * 1e-7
+    cli.write_csv(tmp_path / "warm.csv", ("x", "y"), x, y)
+    tracemalloc.start()
+    try:
+        cli.write_csv(tmp_path / "big.csv", ("x", "y"), x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_power_of_ten_table_is_empty_after_import():
+    # building all 633 entries takes 0.2 s of big-integer arithmetic
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = ("import arrowm.cli, arrowm._csvtext as t; "
+             "print(int(t._POW10_FILLED.sum()), t._tables.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]
 
 
 def _polyline_sizes(svg_path):

@@ -167,9 +167,9 @@ def test_normalize_zero_state_raises():
         normalize_state(zero_state(g))
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-160, 1e-170])
 def test_state_norm_keeps_its_range(scale, rng):
-    # |a|^2 overflows at 1e160 and underflows into subnormals at 1e-160 or to
+    # |a|^2 overflows at 1e160 or 1e300 and underflows into subnormals at 1e-160 or to
     # zero at 1e-170, so the norm read inf, a few tenths of a percent off, or
     # 0.0 until it divided the amplitudes by max|a| first
     g = make_log_grid(1e-2, 1e2, 64)
