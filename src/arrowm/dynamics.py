@@ -9,38 +9,40 @@ evaluated with either the direct Cauchy-kernel path or the fast diagonalized
 path, and trajectories record any increase beyond the monotonicity
 tolerance.
 
-A fast trajectory evolves and transforms its times in blocks, each block one
-batched pass of numpy work on its own temporaries (the support phases, the
-evolved amplitudes and their squares), and deals the blocks round-robin to
-one thread per usable CPU, at most two (the calling thread is one of them).
-A block is evolved by the same helper as :func:`evolve`.  When the times are
-an arithmetic progression, that helper uses the group law
-U(t_q + r dt) = U(t_q) U(r dt): a block's first row is cos + i sin as in
-:func:`evolve`, and its row r is that row times the step row e^{-i E r dt},
-computed once per call.  Every later operation is the per-time one applied
-row by row, in the same order.  So the values equal
-``expectation_m(evolve(state, t))`` bit for bit at block starts and at every
-time off a progression, and to within 1e-15 elsewhere; they are
-bit-identical whatever the worker count.
+A trajectory follows its orbit on either route through one driver.  It
+finds the state's support once per call, evolves the times in blocks by the
+same helper as :func:`evolve`, and deals the blocks round-robin to threads,
+the calling thread first.  When the times are an arithmetic progression,
+the helper uses the group law U(t_q + r dt) = U(t_q) U(r dt): a block's
+first row is cos + i sin as in :func:`evolve`, and its row r is that row
+times the step row e^{-i E r dt}, computed once per call.  Each route turns
+a block into two sums per time and reduces the whole orbit's sums once:
 
-A direct trajectory checks the norm once, before it builds an operator, and
-evolves its times in the same blocks, on the same support and with the same
-step rows.  Each evolved state then goes through :func:`apply_m_direct` on
-the calling thread, and its quadratic form is divided by the one squared
-norm, so the values lie within 1e-15 of
-``expectation_m(evolve(state, t), "direct")``.
+- fast: the eigenvalue density's mass and first moment, on one thread per
+  usable CPU, at most two; the masses are checked as norms and each value
+  is first / mass.  Every operation after the phases is the per-time one,
+  row by row, so the values equal ``expectation_m(evolve(state, t))`` bit
+  for bit at block starts and at every time off a progression, to within
+  1e-15 elsewhere, and bit-identical whatever the worker count.
+- direct: Re and Im of q = (psi, M psi) by :func:`apply_m_direct` and
+  :func:`inner_product`, on the calling thread.  The norm, which U(t)
+  preserves, is checked once before an operator is built; every imaginary
+  part is held to 1e-10 ||psi||^2 and each value is Re q / ||psi||^2.
+  :func:`expectation_m` is the same block with one row, so the values lie
+  within 1e-15 of ``expectation_m(evolve(state, t), "direct")``.
 """
 from __future__ import annotations
 
-import math
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .grid import (
-    EnergyState, _check_norm, _readonly, _support, inner_product, make_state, state_norm,
+    EnergyState, _check_norm, _peak_exponent, _readonly, _support, inner_product, make_state,
+    state_norm,
 )
 from .mellin import _block_moments, _grid_factors, eigen_density_moments
 from .operator import DenseOperator, apply_m_direct, build_dense_m
@@ -75,7 +77,8 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # (1e-22, 1e21) and n = 64 to 4096, scaled by 2^k in steps of 10, kept <M>
 # within 1e-15 on both routes for max|a| from about 2^-490 to 2^510, and
 # not beyond.  Outside the band a state is first scaled to max|a| in [1/2, 1).
-_SAFE_PEAK = (2.0**-400, 2.0**400)
+# The band is [2^-400, 2^400), where max|a| has frexp exponents -399 to 400.
+_SAFE_EXPONENTS = (-399, 400)
 
 
 def evolve(state: EnergyState, t: float) -> EnergyState:
@@ -158,7 +161,7 @@ def expectation_m(
     Cauchy-kernel operator with the grid inner product and raises if an
     imaginary part beyond 1e-10 appears (an asymmetry bug would surface here
     rather than be hidden by symmetrization).  A state whose largest
-    amplitude lies outside [2^-400, 2^400] is first scaled by a power of two,
+    amplitude lies outside [2^-400, 2^400) is first scaled by a power of two,
     exactly, so its squares neither overflow nor go subnormal.  Raises
     ValueError on a zero or non-finite norm, on both routes: the fast path
     reads it off the density's mass, the direct path off the norm it divides
@@ -171,50 +174,65 @@ def expectation_m(
         mass, first = eigen_density_moments(state)
         _check_norm(mass)
         return first / mass
-    nrm2 = _checked_norm2(state)
-    if operator is None:
-        operator = build_dense_m(state.grid)
-    return _direct_form(state, operator, nrm2)
+    block, nrm2 = _direct_route(state, operator)
+    return float(_direct_values(block(state.amplitudes[None]), nrm2)[0])
 
 
 def _in_safe_range(state: EnergyState) -> EnergyState:
-    """The state, times an exact power of two where max|a| lies outside ``_SAFE_PEAK``.
+    """The state, times an exact power of two where max|a| lies outside [2^-400, 2^400).
 
     <M> is the same for every nonzero multiple of a state.  A zero or
     non-finite maximum leaves the state as it is, for the norm checks.
     """
-    peak = float(np.max(np.abs(state.amplitudes)))
-    if not 0.0 < peak < np.inf or _SAFE_PEAK[0] <= peak <= _SAFE_PEAK[1]:
+    e = _peak_exponent(np.abs(state.amplitudes))
+    if _SAFE_EXPONENTS[0] <= e <= _SAFE_EXPONENTS[1]:
         return state
-    scaled = np.ldexp(state.amplitudes.view(float), -math.frexp(peak)[1])
+    scaled = np.ldexp(state.amplitudes.view(float), -e)
     return EnergyState(state.grid, state.channels, _readonly(scaled.view(complex)))
 
 
-def _checked_norm2(state: EnergyState) -> float:
-    """||psi||^2; raises ValueError where it is 0 or not finite."""
+def _direct_route(state: EnergyState, operator: DenseOperator | None):
+    """The direct block on ``operator`` and ||psi||^2.
+
+    The norm is checked before the operator is built, when none is given;
+    raises ValueError where it is 0 or not finite.
+    """
     nrm = state_norm(state)
     try:
         nrm2 = nrm**2
     except OverflowError:  # a finite norm whose square is not
         nrm2 = np.inf
     _check_norm(nrm2)
-    return nrm2
+    if operator is None:
+        operator = build_dense_m(state.grid)
+    return partial(_direct_block, state, operator), nrm2
 
 
-def _direct_form(state: EnergyState, operator: DenseOperator, nrm2: float) -> float:
-    """Re (psi, M psi) / ``nrm2`` by the direct route; ArithmeticError on an imaginary part."""
-    q = inner_product(state, apply_m_direct(state, operator))
-    if abs(q.imag) > _IMAG_TOL * nrm2:
+def _direct_block(state: EnergyState, operator: DenseOperator, amplitudes: np.ndarray):
+    """(Re q, Im q) with q = (psi_k, M psi_k), for each row psi_k of ``amplitudes``."""
+    q = np.empty(len(amplitudes), dtype=complex)
+    for k, row in enumerate(_readonly(amplitudes)):
+        psi = EnergyState(state.grid, state.channels, row)
+        q[k] = inner_product(psi, apply_m_direct(psi, operator))
+    return q.real, q.imag
+
+
+def _direct_values(sums: np.ndarray, nrm2: float) -> np.ndarray:
+    """Re q / ``nrm2`` for the direct sums (Re q, Im q); ArithmeticError on an imaginary part."""
+    real, imag = sums
+    (bad,) = np.nonzero(np.abs(imag) > _IMAG_TOL * nrm2)
+    if bad.size:
         raise ArithmeticError(
-            f"expectation value has imaginary part {q.imag:.3e} (path='direct')"
+            f"expectation value has imaginary part {imag[bad[0]]:.3e} (path='direct')"
         )
-    return q.real / nrm2
+    return real / nrm2
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Expectation values along an orbit plus any monotonicity violations.
 
+    ``times`` and ``values`` are read-only arrays of the trajectory's own.
     ``monotone_violations`` holds (t_i, t_{i+1}, increase) for every adjacent
     pair where the expectation rose by more than the tolerance.
     """
@@ -243,12 +261,13 @@ def trajectory(
     """Evaluate the expectation along {U(t) psi : t in times}.
 
     ``times`` must be finite and strictly increasing; like :func:`evolve`,
-    they may be negative.  The state is scaled as in :func:`expectation_m`.
-    Both paths evolve the times in blocks (see the module notes); the fast
-    path runs them on up to two CPUs.  The direct path checks the norm once
-    and then builds the dense operator, when none is given.
+    they may be negative, and they are copied.  The state is scaled as in
+    :func:`expectation_m`.  Both paths evolve the times in blocks (see the
+    module notes); the fast path runs them on up to two CPUs.  The direct
+    path checks the norm once and then builds the dense operator, when none
+    is given.
     """
-    t = np.asarray(times, dtype=float)
+    t = np.array(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("need a one-dimensional list of at least two times")
     if not np.all(np.isfinite(t)):
@@ -257,9 +276,13 @@ def trajectory(
         raise ValueError("times must be strictly increasing")
     state = _in_safe_range(state)
     if path == "fast":
-        values = _fast_expectations(state, t)
+        _grid_factors(state.grid)  # a cache miss computes m(nu) here, on the calling thread
+        mass, first = _orbit(state, t, partial(_block_moments, state.grid), _WORKERS)
+        _check_norm(mass)
+        values = first / mass
     elif path == "direct":
-        values = _direct_expectations(state, t, operator)
+        block, nrm2 = _direct_route(state, operator)
+        values = _direct_values(_orbit(state, t, block, 1), nrm2)
     else:
         raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
     violations = [
@@ -267,7 +290,8 @@ def trajectory(
         for k, d in enumerate(np.diff(values))
         if d > MONOTONE_TOL
     ]
-    return Trajectory(times=t, values=values, path=path, monotone_violations=violations)
+    return Trajectory(times=_readonly(t), values=_readonly(values), path=path,
+                      monotone_violations=violations)
 
 
 def _block_size(state: EnergyState) -> int:
@@ -276,60 +300,33 @@ def _block_size(state: EnergyState) -> int:
     return max(1, _BLOCK_BYTES // (24 * channels * n))
 
 
-def _direct_expectations(state: EnergyState, t: np.ndarray,
-                         operator: DenseOperator | None) -> np.ndarray:
-    """``expectation_m(evolve(state, tk), "direct", operator)`` for every tk in ``t``.
-
-    The norm is checked once, before the operator is built; U(t) preserves
-    it.  The times are evolved in the fast route's blocks, on the support
-    found once, with the group law on a progression, and each evolved state
-    goes through :func:`apply_m_direct` on the calling thread.
-    """
-    nrm2 = _checked_norm2(state)
-    if operator is None:
-        operator = build_dense_m(state.grid)
-    block = _block_size(state)
-    support = _support(state)
-    steps = _progression_steps(state, t, block, support)
-    values = np.empty(t.size)
-    for k in range(0, t.size, block):
-        evolved = _readonly(_evolved(state, t[k:k + block], support, steps))
-        for r, amplitudes in enumerate(evolved):
-            values[k + r] = _direct_form(EnergyState(state.grid, state.channels, amplitudes),
-                                         operator, nrm2)
-        del evolved, amplitudes  # before the next block is made
-    return values
-
-
-def _fast_expectations(state: EnergyState, t: np.ndarray) -> np.ndarray:
-    """``expectation_m(evolve(state, tk))`` for every tk in ``t`` (see the module notes).
+def _orbit(state: EnergyState, t: np.ndarray, block_sums, workers: int) -> np.ndarray:
+    """A route's two sums at every time of ``t``: shape (2, t.size).
 
     The times go in blocks of b, each evolved as one (b, channels, n) array
     by :func:`evolve`'s own helper on the support found once per call, with
-    the step rows of :func:`_progression_steps` when ``t`` is a progression,
-    and passed to :func:`_block_moments`; blocks are dealt round-robin to
-    min(``_WORKERS``, blocks) workers.  numpy's ufuncs and FFTs release the
-    GIL on arrays this size, so the workers run in parallel.  The workers
-    call no public function of the package: a tracer that wraps those keeps
-    one span stack per process.
+    the step rows of :func:`_progression_steps` when ``t`` is a progression.
+    ``block_sums`` maps that array, which it may overwrite, to two arrays of
+    shape (b,).  The blocks are dealt round-robin to min(``workers``,
+    blocks) threads; numpy's ufuncs and FFTs release the GIL on arrays this
+    size, so the threads run in parallel.  A ``block_sums`` run on more than
+    one thread must call no public function of the package: a tracer that
+    wraps those keeps one span stack per process.
     """
-    grid = state.grid
     block = _block_size(state)
     starts = range(0, t.size, block)
-    workers = min(_WORKERS, len(starts))
-    mass, first = np.empty(t.size), np.empty(t.size)
+    workers = min(workers, len(starts))
+    sums = np.empty((2, t.size))
     support = _support(state)
     steps = _progression_steps(state, t, block, support)
-    _grid_factors(grid)  # a cache miss computes m(nu) here, on the calling thread
 
     def work(w: int) -> None:
         for k in starts[w::workers]:
             s = slice(k, k + block)
-            mass[s], first[s] = _block_moments(grid, _evolved(state, t[s], support, steps))
+            sums[:, s] = block_sums(_evolved(state, t[s], support, steps))
 
     _on_threads(work, workers)
-    _check_norm(mass)
-    return first / mass
+    return sums
 
 
 def _on_threads(work, count: int) -> None:

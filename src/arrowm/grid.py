@@ -12,6 +12,7 @@ free particle on a line: the sign of the momentum).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,25 +159,25 @@ def inner_product(a: EnergyState, b: EnergyState) -> complex:
     return complex(np.sum(terms))
 
 
-# Where max|a| lies outside this band, |a|^2 would overflow, or lose digits
-# to underflow, before the weighted sum; there :func:`state_norm` divides the
-# amplitudes by max|a| before squaring them.
-_NORM_SAFE_BAND = (1e-100, 1e100)
+def _peak_exponent(moduli: np.ndarray) -> int:
+    """The e with max ``moduli`` in [2^(e-1), 2^e); 0 where the maximum is 0 or not finite."""
+    return math.frexp(float(np.max(moduli)))[1]
 
 
 def state_norm(state: EnergyState) -> float:
     """L2 norm of the state over all channels.
 
-    Amplitudes whose largest modulus lies outside [1e-100, 1e100] are
-    divided by it before they are squared, and the norm is scaled back, so
-    |a|^2 neither overflows nor underflows.  NaN or inf amplitudes give a
-    NaN or inf norm.
+    The moduli are scaled by the power of two 2^-e that brings their largest
+    into [1/2, 1) before they are squared, and the norm is scaled back, so
+    |a|^2 neither overflows nor underflows.  Scaling by a power of two is
+    exact and commutes with each rounding of the weighted sum and the sqrt,
+    so wherever the unscaled sum neither overflows nor underflows the norm
+    is the same bit for bit.  NaN or inf amplitudes give a NaN or inf norm.
     """
     a = np.abs(state.amplitudes)
-    peak = a.max()
-    if 0.0 < peak < np.inf and not _NORM_SAFE_BAND[0] <= peak <= _NORM_SAFE_BAND[1]:
-        return float(peak * np.sqrt(np.sum(state.grid.weights * (a / peak) ** 2)))
-    return float(np.sqrt(np.sum(state.grid.weights * a ** 2)))
+    e = _peak_exponent(a)
+    np.ldexp(a, -e, out=a)
+    return float(np.ldexp(np.sqrt(np.sum(state.grid.weights * a ** 2)), e))
 
 
 def _check_norm(norm) -> None:

@@ -391,35 +391,103 @@ def test_fast_trajectory_workspace_is_bounded(monkeypatch):
     assert peak <= 2.5e6
 
 
-def test_fast_trajectory_workers_call_no_public_function(monkeypatch, rng):
-    # a tracer wraps the public functions and keeps one span stack per process
-    monkeypatch.setattr(dynamics, "_WORKERS", 3)
-    main = threading.main_thread()
-    callers, block_threads = set(), set()
+def test_direct_trajectory_workspace_is_bounded():
+    # one block of 4 evolved states, one apply_m_direct's FFT buffers and
+    # the operator, built inside the call: 1.58 MB measured on the fig1
+    # window (1.41 MB on the wide one, 1.11 MB with the operator given)
+    state = fig_packet(4096)
+    times = np.linspace(0.0, 32.0, 200)
+    trajectory(state, times[:8], path="direct")
+    tracemalloc.start()
+    try:
+        trajectory(state, times, path="direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+
+def _recorded(fn, seen):
+    def wrapper(*args, **kwargs):
+        seen.add((fn.__name__, threading.current_thread()))
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _record_public_calls(monkeypatch, callers):
+    """Wrap every public function, wherever the package binds it, as a tracer does."""
     modules = [arrowm.grid, arrowm.dynamics, arrowm.mellin, arrowm.operator,
                arrowm.freeparticle]
-
-    def recorded(fn, seen):
-        def wrapper(*args, **kwargs):
-            seen.add((fn.__name__, threading.current_thread()))
-            return fn(*args, **kwargs)
-        return wrapper
-
     for module in modules:
         for name in module.__all__:
             fn = getattr(module, name)
             if inspect.isfunction(fn):
                 for other in (arrowm, *modules):
                     if getattr(other, name, None) is fn:
-                        monkeypatch.setattr(other, name, recorded(fn, callers))
+                        monkeypatch.setattr(other, name, _recorded(fn, callers))
+
+
+def test_fast_trajectory_workers_call_no_public_function(monkeypatch, rng):
+    # a tracer wraps the public functions and keeps one span stack per process
+    monkeypatch.setattr(dynamics, "_WORKERS", 3)
+    main = threading.main_thread()
+    callers, block_threads = set(), set()
+    _record_public_calls(monkeypatch, callers)
     monkeypatch.setattr(dynamics, "_block_moments",
-                        recorded(dynamics._block_moments, block_threads))
+                        _recorded(dynamics._block_moments, block_threads))
     _grid_factors.cache_clear()
     f = random_smooth_state(make_log_grid(1e-3, 1e3, 256), rng)
     arrowm.trajectory(f, np.linspace(0.0, 5.0, 400))
     assert {"trajectory", "eigenvalue_of_frequency"} <= {name for name, _ in callers}
     assert {thread for _, thread in callers} == {main}
     assert len({thread for _, thread in block_threads}) == 3
+
+
+def test_direct_trajectory_runs_on_the_calling_thread(monkeypatch, rng):
+    # its blocks call apply_m_direct and inner_product, which a tracer wraps,
+    # so they take one thread whatever the fast route's worker count
+    f = random_smooth_state(make_log_grid(1e-3, 1e3, 256), rng)
+    op = build_dense_m(f.grid)
+    times = np.linspace(0.0, 5.0, 200)  # 4 blocks of 64
+    monkeypatch.setattr(dynamics, "_WORKERS", 1)
+    single = trajectory(f, times, path="direct", operator=op).values
+    monkeypatch.setattr(dynamics, "_WORKERS", 3)
+    callers = set()
+    _record_public_calls(monkeypatch, callers)
+    values = arrowm.trajectory(f, times, path="direct", operator=op).values
+    assert {"trajectory", "apply_m_direct", "inner_product"} <= {name for name, _ in callers}
+    assert {thread for _, thread in callers} == {threading.main_thread()}
+    assert np.array_equal(values, single)
+
+
+@pytest.mark.parametrize("path", dynamics.PATHS)
+def test_trajectory_finds_support_and_steps_once(path, monkeypatch, rng):
+    monkeypatch.setattr(dynamics, "_WORKERS", 3)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for name in ("_support", "_progression_steps"):
+        monkeypatch.setattr(dynamics, name, counted(getattr(dynamics, name)))
+    f = random_smooth_state(make_log_grid(1e-3, 1e3, 256), rng)
+    trajectory(f, np.linspace(0.0, 5.0, 200), path=path)  # 4 blocks of 64
+    assert sorted(calls) == ["_progression_steps", "_support"]
+
+
+def test_trajectory_owns_read_only_times_and_values(rng):
+    # a float64 array of times used to be stored as given, so a later write
+    # by the caller moved the times the violations were computed against
+    f = random_smooth_state(make_log_grid(1e-3, 1e3, 64), rng)
+    t = np.linspace(0.0, 1.0, 5)
+    tr = trajectory(f, t)
+    t[:] = -1.0
+    assert tr.times is not t and tr.times[0] == 0.0
+    for array in (tr.times, tr.values):
+        with pytest.raises(ValueError):
+            array[0] = 2.0
 
 
 def test_fast_trajectory_zero_state_raises_across_workers(monkeypatch):

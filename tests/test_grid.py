@@ -193,6 +193,19 @@ def test_state_norm_inside_the_safe_band_is_the_plain_sum(rng):
         assert state_norm(make_state(g, f.channels, a)) == plain, scale
 
 
+def test_state_norm_commutes_with_powers_of_two():
+    # the moduli are scaled by the power of two of their peak before they
+    # are squared, so the norm of 2^k psi is 2^k ||psi|| bit for bit; dividing
+    # by the peak would round (2.2e-16 off for about a third of these)
+    g = make_log_grid(1e-2, 1e2, 64)
+    for seed in range(10):
+        f = random_smooth_state(g, np.random.default_rng(seed))
+        norm = state_norm(f)
+        for k in (-900, -400, -1, 1, 400, 1000):
+            scaled = np.ldexp(f.amplitudes.view(float), k).view(complex)
+            assert state_norm(make_state(g, f.channels, scaled)) == np.ldexp(norm, k), (seed, k)
+
+
 def test_state_and_grid_are_immutable(rng):
     g = make_log_grid(1e-2, 1e2, 64)
     f = random_smooth_state(g, rng)
