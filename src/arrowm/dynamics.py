@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -233,14 +233,14 @@ class Trajectory:
     """Expectation values along an orbit plus any monotonicity violations.
 
     ``times`` and ``values`` are read-only arrays of the trajectory's own.
-    ``monotone_violations`` holds (t_i, t_{i+1}, increase) for every adjacent
-    pair where the expectation rose by more than the tolerance.
+    ``monotone_violations`` is a tuple of (t_i, t_{i+1}, increase) for every
+    adjacent pair where the expectation rose by more than the tolerance.
     """
 
     times: np.ndarray
     values: np.ndarray
     path: str
-    monotone_violations: list = field(default_factory=list)
+    monotone_violations: tuple = ()
 
     @property
     def terminal_value(self) -> float:
@@ -285,11 +285,11 @@ def trajectory(
         values = _direct_values(_orbit(state, t, block, 1), nrm2)
     else:
         raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
-    violations = [
+    violations = tuple(
         (float(t[k]), float(t[k + 1]), float(d))
         for k, d in enumerate(np.diff(values))
         if d > MONOTONE_TOL
-    ]
+    )
     return Trajectory(times=_readonly(t), values=_readonly(values), path=path,
                       monotone_violations=violations)
 

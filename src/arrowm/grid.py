@@ -149,6 +149,20 @@ def _support(state: EnergyState) -> slice:
     return slice(int(nonzero[0]), int(nonzero[-1]) + 1)
 
 
+def _fft_length(size: int) -> int:
+    """The smallest 2^a 3^b 5^c >= size (size >= 1), a length numpy's FFT does fast."""
+    best = 1 << (size - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two reaching size
+            best = min(best, p35 << ((size - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def inner_product(a: EnergyState, b: EnergyState) -> complex:
     """L2 inner product sum_lambda int conj(a) b dE, conjugate-linear in ``a``."""
     _check_compatible(a, b)

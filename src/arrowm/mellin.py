@@ -20,9 +20,9 @@ c(m) = chat(nu(m)) / sqrt(|dm/dnu|), with no extra phase.
 The eigenvalue density rho(m) = |chat(nu)|^2 / |dm/dnu| needs chat on a
 finer or shifted frequency lattice than the FFT's.  :func:`eigen_density`
 evaluates the defining sum on any uniform nu lattice, at its points
-exactly, by Bluestein's chirp-z transform: one zero-padded FFT convolution
-with a chirp, in O((n + points) log(n + points)) time and O(n + points)
-memory.
+exactly, by Bluestein's chirp-z transform: one FFT convolution with a chirp,
+zero-padded to the smallest 2^a 3^b 5^c >= n + points - 1, in
+O((n + points) log(n + points)) time and O(n + points) memory.
 
 Every factor of the transforms that depends on the grid alone (e^{+-u/2},
 the forward prefactor and inverse phase, the frequency lattice and m(nu) on
@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import CHANNELS, EnergyState, LogEnergyGrid, _readonly, make_state
+from .grid import CHANNELS, EnergyState, LogEnergyGrid, _fft_length, _readonly, make_state
 
 __all__ = [
     "MellinSpectrum",
@@ -154,7 +154,20 @@ def _frequency_spacing(grid: LogEnergyGrid) -> float:
 
 def spectral_weight(spec: MellinSpectrum) -> np.ndarray:
     """|chat(nu_k)|^2 dnu summed over channels: the state's mass at each frequency."""
-    return np.sum(np.square(np.abs(spec.coefficients)), axis=-2) * spec.dnu
+    return _weight(spec.grid, np.fft.ifftshift(spec.coefficients, axes=-1))
+
+
+def _weight(grid: LogEnergyGrid, chat: np.ndarray) -> np.ndarray:
+    """|chat|^2 dnu over the channels of FFT-order ``chat`` (..., channels, n), ascending."""
+    square = np.abs(chat)
+    np.square(square, out=square)
+    n = grid.n
+    low = n - n // 2  # FFT indices [0, low) hold the frequencies >= 0
+    weight = np.empty(chat.shape[:-2] + (n,))
+    np.sum(square[..., :low], axis=-2, out=weight[..., n - low:])
+    np.sum(square[..., low:], axis=-2, out=weight[..., :n - low])
+    weight *= _frequency_spacing(grid)
+    return weight
 
 
 def forward_mellin(state: EnergyState) -> MellinSpectrum:
@@ -201,9 +214,10 @@ def eigen_density(state: EnergyState, nu_start: float, nu_stop: float, points: i
         nu_k u_j = nu_k u_0 + nu_start j du + a (k^2 + j^2 - (k - j)^2),
 
     so the sum over j is one linear convolution with the chirp e^{-i a m^2},
-    m = -(n - 1) .. points - 1, done by a zero-padded FFT.  Each integer
-    square is formed exactly in int64, and :func:`_chirp` reduces its phase
-    modulo 2 pi before a q is rounded.  Returns nu and rho of shape
+    m = -(n - 1) .. points - 1, done by FFTs zero-padded to the smallest
+    2^a 3^b 5^c >= n + points - 1 (5000 points at n = 4096 with 801).  Each
+    integer square is formed exactly in int64, and :func:`_chirp` reduces its
+    phase modulo 2 pi before a q is rounded.  Returns nu and rho of shape
     (n_channels, points).  Raises ValueError on non-finite bounds,
     nu_start >= nu_stop, fewer than 2 points, or bounds whose m(nu) rounds
     to 0 or 1.
@@ -229,7 +243,7 @@ def eigen_density(state: EnergyState, nu_start: float, nu_stop: float, points: i
     lag = np.arange(-(n - 1), points)
     F = _grid_factors(grid).half * state.amplitudes
     h = F * np.exp(1j * nu_start * grid.du * j) * _chirp(turns, j * j)
-    size = 1 << (n + points - 2).bit_length()  # a power of two >= n + points - 1
+    size = _fft_length(n + points - 1)
     conv = np.fft.ifft(
         np.fft.fft(h, size, axis=-1) * np.fft.fft(_chirp(-turns, lag * lag), size),
         axis=-1,
@@ -274,26 +288,13 @@ def eigen_density_moments(state: EnergyState) -> tuple[float, float]:
 def _block_moments(grid: LogEnergyGrid, amplitudes: np.ndarray):
     """:func:`eigen_density_moments` of a block of states: (mass, first), each of shape (b,).
 
-    Each row goes through the helpers of :func:`forward_mellin` and
-    :func:`_moments`.  The weight is :func:`spectral_weight` formed in place:
-    |chat| is squared in place, summed over the channels straight into
-    ascending-frequency order (the fftshift), then multiplied by dnu in
-    place.  Those are :func:`spectral_weight`'s operations in its order, so
-    each row equals :func:`eigen_density_moments` bit for bit.
-    ``amplitudes`` (complex, shape (b, channels, n)) is overwritten by the
-    coefficients.
+    Each row goes through the helpers of :func:`forward_mellin`,
+    :func:`spectral_weight` and :func:`_moments`, so it equals
+    :func:`eigen_density_moments` bit for bit.  ``amplitudes`` (complex,
+    shape (b, channels, n)) is overwritten by the coefficients.
     """
     chat = _coefficients(_grid_factors(grid), amplitudes, out=amplitudes)
-    square = np.abs(chat)
-    np.square(square, out=square)
-    n = grid.n
-    low = n - n // 2  # FFT indices [0, low) hold the frequencies >= 0
-    weight = np.empty((chat.shape[0], n))
-    np.sum(square[..., :low], axis=-2, out=weight[:, n - low:])
-    np.sum(square[..., low:], axis=-2, out=weight[:, :n - low])
-    del square  # before _moments allocates m(nu) * weight
-    weight *= _frequency_spacing(grid)
-    return _moments(grid, weight)
+    return _moments(grid, _weight(grid, chat))
 
 
 def _moments(grid: LogEnergyGrid, weight: np.ndarray):

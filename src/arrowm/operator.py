@@ -23,8 +23,9 @@ only, so applying the operator is one linear convolution of its L supported
 values with those n + L - 1 entries, by FFTs of the smallest 2^a 3^b 5^c
 >= n + L - 1 points: 8192 for a full support at n = 4096, 6400 for the
 wide-window packet's 2274 columns.  The embedded kernel is read off the
-circulant embedding and kept per operator and support; d sqrt(w) and
-d / sqrt(w) are kept per grid.  O((n + L) log(n + L)) time, O(n) memory.
+circulant embedding, and the last (operator, support) pair's is kept;
+d sqrt(w) and d / sqrt(w) are kept per grid.  O((n + L) log(n + L)) time,
+O(n) memory.
 
 T = iR with R real, antisymmetric and Toeplitz, and d is palindromic, so the
 grid reversal J (E <-> e_min e_max / E) gives J A J = conj(A) = I - A.  The
@@ -67,13 +68,13 @@ reproduces the subtraction quadrature exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import EnergyState, LogEnergyGrid, _readonly, _support
+from .grid import EnergyState, LogEnergyGrid, _fft_length, _readonly, _support
 
 __all__ = [
     "DenseOperator",
@@ -84,28 +85,11 @@ __all__ = [
 ]
 
 QUADRATURES = ("parity", "subtraction")
-# Support kernels an operator keeps, at most 128 KB each at n = 4096; a
-# trajectory applies it to one support
-_KERNELS_KEPT = 4
 
 
 def _circulant_fft(column: np.ndarray, row: np.ndarray) -> np.ndarray:
     """FFT of the 2n circulant whose leading n x n block is toeplitz(column, row)."""
     return np.fft.fft(np.concatenate((column, [0.0], row[:0:-1])))
-
-
-def _fft_length(size: int) -> int:
-    """The smallest 2^a 3^b 5^c >= size (size >= 1), a length numpy's FFT does fast."""
-    best = 1 << (size - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # p35 times the smallest power of two reaching size
-            best = min(best, p35 << ((size - 1) // p35).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def _endpoint_scale(n: int) -> np.ndarray:
@@ -115,6 +99,9 @@ def _endpoint_scale(n: int) -> np.ndarray:
     return d
 
 
+# Cached because apply_m_direct needs both on every call: uncached they cost
+# 14-18 us a call at n = 4096, 3-3.6 ms of a 200-step direct orbit (about 3 %
+# of perfbench's orbit_dual)
 @lru_cache(maxsize=16)
 def _weighted_scales(grid: LogEnergyGrid) -> tuple:
     """(d sqrt(w), d / sqrt(w)), read-only: into T's coordinates and back out."""
@@ -123,21 +110,20 @@ def _weighted_scales(grid: LogEnergyGrid) -> tuple:
     return _readonly(d * s), _readonly(d / s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseOperator:
     """The operator in weighted coordinates, D T D + I/2 with T Hermitian Toeplitz.
 
     ``column`` is T's first column (T_k0 for k = 0..n-1; its first row is
     the conjugate) and ``circulant_fft`` the FFT of its 2n circulant
     embedding, from which :func:`apply_m_direct` derives the kernel of each
-    support it meets, keeping the last few.
+    support it meets.  Operators compare and hash by identity.
     """
 
     grid: LogEnergyGrid
     quadrature: str
     column: np.ndarray
     circulant_fft: np.ndarray
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_dense_m(grid: LogEnergyGrid, quadrature: str = "parity") -> DenseOperator:
@@ -157,24 +143,18 @@ def build_dense_m(grid: LogEnergyGrid, quadrature: str = "parity") -> DenseOpera
                          circulant_fft=_readonly(_circulant_fft(column, column.conj())))
 
 
-def _support_kernel(op: DenseOperator, support: slice) -> np.ndarray:
-    """FFT of T's offsets -(s0 + L - 1) .. n - 1 - s0 for the support [s0, s0 + L).
+@lru_cache(maxsize=1)
+def _support_kernel(op: DenseOperator, start: int, stop: int) -> np.ndarray:
+    """FFT of T's offsets -(stop - 1) .. n - 1 - start for the support [start, stop).
 
     The entries are read off the inverse FFT of ``op.circulant_fft``, whose
     entry k mod 2n is T's offset k, and zero-padded to the
-    :func:`_fft_length` of n + L - 1.  Kept on ``op`` for up to
-    ``_KERNELS_KEPT`` supports; a further support starts the store afresh.
+    :func:`_fft_length` of n + stop - start - 1.  Read-only; the last one is
+    kept, since a trajectory applies one operator to one support.
     """
-    key = (support.start, support.stop)
-    kernel = op._kernels.get(key)
-    if kernel is None:
-        offsets = np.arange(-(support.stop - 1), op.grid.n - support.start)
-        embedded = np.take(np.fft.ifft(op.circulant_fft), offsets, mode="wrap")
-        kernel = _readonly(np.fft.fft(embedded, _fft_length(offsets.size)))
-        if len(op._kernels) >= _KERNELS_KEPT:
-            op._kernels.clear()
-        op._kernels[key] = kernel
-    return kernel
+    offsets = np.arange(-(stop - 1), op.grid.n - start)
+    embedded = np.take(np.fft.ifft(op.circulant_fft), offsets, mode="wrap")
+    return _readonly(np.fft.fft(embedded, _fft_length(offsets.size)))
 
 
 def apply_m_direct(state: EnergyState, op: DenseOperator) -> EnergyState:
@@ -190,7 +170,7 @@ def apply_m_direct(state: EnergyState, op: DenseOperator) -> EnergyState:
     out = 0.5 * state.amplitudes
     if length:
         to_t, from_t = _weighted_scales(op.grid)
-        kernel = _support_kernel(op, support)
+        kernel = _support_kernel(op, support.start, support.stop)
         x = np.fft.fft(to_t[support] * state.amplitudes[:, support], kernel.size, axis=-1)
         x *= kernel
         y = np.fft.ifft(x, axis=-1, out=x)[:, length - 1:length - 1 + op.grid.n]

@@ -18,7 +18,10 @@ from arrowm.cli import (
     parse_config_text,
     run_scenario,
 )
-from arrowm import _csvtext, cli, frequency_jacobian, frequency_of_eigenvalue
+from arrowm import (
+    _csvtext, cli, eigen_density_moments, evolve, expectation_m, frequency_jacobian,
+    frequency_of_eigenvalue,
+)
 from arrowm.svgplot import write_line_plot
 from conftest import write_csv_rows
 
@@ -474,6 +477,18 @@ def test_fig2_density_csv_nu_column_gives_covered_mass(tmp_path):
         assert np.all(np.diff(nu) > 0.0)
         covered = np.trapezoid((rho_plus + rho_minus) * frequency_jacobian(m), nu)
         assert abs(covered - summary[f"frame_{k:02d}_density_covered_mass"]) <= 1e-12
+
+
+def test_density_frames_report_the_library_moments(tmp_path):
+    cfg = cfg_for("fig2", tmp_path, extra={"grid.n": 1024, "frames.x_points": 101,
+                                           "output.svg": False})
+    summary = run_scenario("fig2", cfg)
+    state = cli.build_scenario_state(cfg, cli.build_scenario_grid(cfg))
+    for k, t in enumerate(cfg["frames.times"]):
+        evolved = evolve(state, t)
+        *_, mass, first, _ = cli.eigen_density_frame(evolved, 801)
+        assert (mass, first) == eigen_density_moments(evolved), t
+        assert summary[f"frame_{k:02d}_expectation_m"] == expectation_m(evolved), t
 
 
 def test_density_frames_report_the_mass_below_the_frame_edge(tmp_path):

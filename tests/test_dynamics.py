@@ -490,6 +490,16 @@ def test_trajectory_owns_read_only_times_and_values(rng):
             array[0] = 2.0
 
 
+def test_trajectory_violations_are_an_immutable_tuple():
+    # evolved to t = 512, the n = 1024 packet aliases and <M> rises again
+    tr = trajectory(fig_packet(), np.linspace(0.0, 512.0, 200))
+    violations = tr.monotone_violations
+    assert isinstance(violations, tuple) and len(violations) > 0
+    assert all(t0 < t1 and rise > dynamics.MONOTONE_TOL for t0, t1, rise in violations)
+    with pytest.raises(AttributeError):
+        violations.append((0.0, 1.0, 5.0))
+
+
 def test_fast_trajectory_zero_state_raises_across_workers(monkeypatch):
     monkeypatch.setattr(dynamics, "_WORKERS", 3)
     g = make_log_grid(1e-2, 1e2, 4096)
@@ -580,7 +590,7 @@ def test_trajectory_values_bounded_and_decreasing_for_packet():
     traj = trajectory(fig_packet(), np.linspace(0.0, 16.0, 81))
     assert np.all(traj.values >= -1e-9)
     assert np.all(traj.values <= 1.0 + 1e-9)
-    assert traj.monotone_violations == []
+    assert traj.monotone_violations == ()
     assert np.all(np.diff(traj.values) < 0.0)
     assert traj.values[0] == pytest.approx(0.5, abs=1e-9)
 
@@ -636,7 +646,7 @@ def test_time_reversal_identity_on_both_routes(bounds, rng):
     for path in ("fast", "direct"):
         traj = trajectory(packet, times, path, op)
         assert _reversal_residual(traj) <= 1e-12, path
-        assert traj.monotone_violations == [], path
+        assert traj.monotone_violations == (), path
         assert traj.values[20] == pytest.approx(0.5, abs=1e-12), path
     # the identity is not true by construction: a complex state breaks it,
     # while its real part keeps it
@@ -667,7 +677,7 @@ def test_time_reversal_identity_property_random_real_states():
         for path in ("fast", "direct"):
             traj = trajectory(real, times, path, op)
             assert _reversal_residual(traj) <= 1e-13, path
-            assert traj.monotone_violations == [], path
+            assert traj.monotone_violations == (), path
 
     check()
 

@@ -347,6 +347,21 @@ def test_eigen_density_frame_memory_far_below_ndft():
     assert peak <= 4e6
 
 
+def test_eigen_density_pads_to_the_smallest_5_smooth_length(monkeypatch):
+    # n + points - 1 = 4896 points pad to 5000, where a power of two is 8192
+    state = _density_states(4096)["packet_t2"]
+    lengths = []
+    fft = np.fft.fft
+
+    def recorded(a, n=None, *args, **kwargs):
+        lengths.append(n)
+        return fft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recorded)
+    eigen_density(state, -5.5, 100.0, 801)
+    assert lengths == [5000, 5000]
+
+
 def test_eigen_density_first_moment_matches_dense_path(rng, wide_grid):
     op = build_dense_m(wide_grid, "parity")
     for _ in range(3):

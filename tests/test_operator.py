@@ -27,7 +27,7 @@ from arrowm import (
     windowed_eigenfunction,
 )
 from arrowm import operator
-from arrowm.grid import _support
+from arrowm.grid import _fft_length, _support
 from arrowm.operator import _circulant_fft
 
 from conftest import (
@@ -133,10 +133,11 @@ def _is_5_smooth(m):
 
 def test_fft_length_is_the_smallest_5_smooth_length():
     for size in range(1, 2500):
-        assert operator._fft_length(size) == next(
+        assert _fft_length(size) == next(
             m for m in itertools.count(size) if _is_5_smooth(m)), size
-    assert operator._fft_length(4096 + 2274 - 1) == 6400
-    assert operator._fft_length(2 * 4096 - 1) == 8192
+    assert _fft_length(4096 + 2274 - 1) == 6400
+    assert _fft_length(2 * 4096 - 1) == 8192
+    assert _fft_length(4096 + 801 - 1) == 5000
 
 
 @pytest.mark.parametrize("n", [257, 1024])
@@ -158,7 +159,7 @@ def test_support_sized_convolution_equals_the_2n_convolution(rng, n, quadrature)
         err = state_norm(make_state(g, f.channels, diff))
         assert err <= 1e-14 * state_norm(make_state(g, f.channels, reference)), name
         length = supports[name].stop - supports[name].start
-        kernel = operator._support_kernel(op, supports[name])
+        kernel = operator._support_kernel(op, supports[name].start, supports[name].stop)
         assert kernel.size == next(m for m in itertools.count(n + length - 1) if _is_5_smooth(m))
 
 
@@ -166,16 +167,30 @@ def test_support_kernels_are_kept_per_operator(rng):
     g = make_log_grid(*WIDE_BOUNDS, 257)
     op = build_dense_m(g)
     f = to_energy_state(GaussianPacketParams(1.0, 0.64, 0.3), g)
-    first = operator._support_kernel(op, _support(f))
+    s = _support(f)
+    first = operator._support_kernel(op, s.start, s.stop)
+    assert not first.flags.writeable
     apply_m_direct(f, op)
-    assert operator._support_kernel(op, _support(f)) is first
-    # another operator, or the same one after more supports than it keeps,
-    # builds afresh
-    assert operator._support_kernel(build_dense_m(g), _support(f)) is not first
-    for stop in range(2, 2 + operator._KERNELS_KEPT):
-        operator._support_kernel(op, slice(0, stop))
-        assert len(op._kernels) <= operator._KERNELS_KEPT
-    assert operator._support_kernel(op, _support(f)) is not first
+    assert operator._support_kernel(op, s.start, s.stop) is first
+    assert operator._support_kernel.cache_info().currsize == 1
+    # another operator, or the same one on another support, builds afresh
+    # and takes the one place
+    other = operator._support_kernel(build_dense_m(g), s.start, s.stop)
+    assert other is not first
+    np.testing.assert_array_equal(other, first)
+    assert operator._support_kernel(op, s.start, s.stop) is not first
+    kept = operator._support_kernel(op, s.start, s.stop - 1)
+    assert operator._support_kernel.cache_info().currsize == 1
+    assert operator._support_kernel(op, s.start, s.stop - 1) is kept
+    assert operator._support_kernel(op, s.start, s.stop) is not kept
+
+
+def test_operators_compare_and_hash_by_identity():
+    g = make_log_grid(1e-2, 1e2, 64)
+    a, b = build_dense_m(g), build_dense_m(g)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
 
 
 def test_apply_grid_mismatch_raises(rng):
