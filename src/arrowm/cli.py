@@ -6,15 +6,16 @@ and dotted keys.  ``KEYS`` gives every key's parser and default, and
 ``SUBCOMMANDS`` every subcommand's runner, help line and default overrides;
 ``--out`` / ``--path`` override the corresponding config keys.  Values are
 checked where they are used: the library's ValueErrors (a bad grid, state or
-time range) become :class:`ScenarioError`, as do failures to write an
-output file.  Exit codes: 0 ok, 1 a failed ``verify`` check, 2 a bad
-configuration or scenario or an unwritable output.  CSV is the canonical
-output (floats at 17 significant digits, so reruns are byte-identical).  Its
-floats are formatted in bulk by :mod:`arrowm._csvtext`, byte-identical to
-Python's ``"%.17g" % x``: the scaled value is within about 1e-13 of exact,
-and ties, near-ties and decade boundaries go through Python's ``%``.  SVG
-line plots are a convenience.  The summary file is flat ``key = value``
-text; its timing entries are the only non-reproducible output.
+time range) become :class:`ScenarioError`, as do MemoryErrors and failures
+to write an output file.  Exit codes: 0 ok, 1 a failed ``verify`` check, 2 a
+bad configuration or scenario, a run that does not fit in memory or an
+unwritable output.  CSV is the canonical output (floats at 17 significant
+digits, so reruns are byte-identical).  Its floats are formatted in bulk by
+:mod:`arrowm._csvtext`, byte-identical to Python's ``"%.17g" % x``: the
+scaled value is within about 1e-13 of exact, and ties, near-ties and decade
+boundaries go through Python's ``%``.  SVG line plots are a convenience.
+The summary file is flat ``key = value`` text; its timing entries are the
+only non-reproducible output.
 """
 from __future__ import annotations
 
@@ -590,8 +591,8 @@ SUBCOMMANDS = {
 def run_scenario(subcommand: str, cfg: dict) -> dict:
     """Run one subcommand into ``cfg["output.dir"]``; write and return its summary.
 
-    The library's ValueErrors (bad grids, states or times) and failures to
-    write an output file become ScenarioError.
+    The library's ValueErrors (bad grids, states or times), runs that do not
+    fit in memory and failures to write an output file become ScenarioError.
     """
     runner = SUBCOMMANDS[subcommand][0]
     out = _prepare_outdir(cfg)
@@ -600,6 +601,8 @@ def run_scenario(subcommand: str, cfg: dict) -> dict:
         write_summary(out / "summary.txt", summary)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
+    except MemoryError as exc:
+        raise ScenarioError(f"out of memory: {exc}") from exc
     except OSError as exc:
         raise ScenarioError(f"cannot write output: {exc}") from exc
     return summary

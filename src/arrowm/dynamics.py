@@ -228,13 +228,14 @@ def _direct_values(sums: np.ndarray, nrm2: float) -> np.ndarray:
     return real / nrm2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Expectation values along an orbit plus any monotonicity violations.
 
     ``times`` and ``values`` are read-only arrays of the trajectory's own.
     ``monotone_violations`` is a tuple of (t_i, t_{i+1}, increase) for every
     adjacent pair where the expectation rose by more than the tolerance.
+    Trajectories compare and hash by identity.
     """
 
     times: np.ndarray

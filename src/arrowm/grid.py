@@ -103,13 +103,13 @@ def make_log_grid(e_min: float, e_max: float, n: int) -> LogEnergyGrid:
     return LogEnergyGrid(e_min, e_max, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyState:
     """Multi-channel complex amplitudes on a :class:`LogEnergyGrid`.
 
     ``amplitudes[k, i]`` is f_lambda(E_i) for channel ``channels[k]``.  All
-    channels share the grid.  Instances are immutable; operations return new
-    states.
+    channels share the grid.  Instances are immutable, compare and hash by
+    identity; operations return new states.
     """
 
     grid: LogEnergyGrid

@@ -129,9 +129,9 @@ def frequency_grid(grid: LogEnergyGrid) -> np.ndarray:
     return _grid_factors(grid).frequencies
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MellinSpectrum:
-    """Per-channel coefficients chat_lambda(nu_k) on the grid's frequency lattice."""
+    """Per-channel chat_lambda(nu_k) on the frequency lattice; compares and hashes by identity."""
 
     grid: LogEnergyGrid
     channels: tuple

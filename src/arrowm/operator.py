@@ -15,16 +15,13 @@ only:
     sqrt(w_i w_j) (i/2 pi) / (E_i - E_j) = d_i d_j (i/2 pi) du / (2 sinh((i - j) du/2)),
 
 with d = (1/sqrt 2, 1, ..., 1, 1/sqrt 2) from the halved endpoint weights.
-So the matrix is D T D + I/2 with T Hermitian Toeplitz, and the operator
-keeps only T's first column and the FFT of its 2n circulant embedding
-(Strang 1986); no n x n array is ever built.  A state that is nonzero only
-on the columns [s0, s0 + L) meets T's offsets -(s0 + L - 1) .. n - 1 - s0
-only, so applying the operator is one linear convolution of its L supported
-values with those n + L - 1 entries, by FFTs of the smallest 2^a 3^b 5^c
->= n + L - 1 points: 8192 for a full support at n = 4096, 6400 for the
-wide-window packet's 2274 columns.  The embedded kernel is read off the
-circulant embedding, and the last (operator, support) pair's is kept;
-d sqrt(w) and d / sqrt(w) are kept per grid.  O((n + L) log(n + L)) time,
+So the matrix is D T D + I/2 with T Hermitian Toeplitz: T's first column
+fixes it (its first row is the column's conjugate), and no n x n array is
+ever built.  A state nonzero only on the columns [s0, s0 + L) meets T's
+offsets -(s0 + L - 1) .. n - 1 - s0 only, so applying the operator is one
+linear convolution of its L supported values with those n + L - 1 entries,
+sliced off the column, by FFTs of the smallest 2^a 3^b 5^c >= n + L - 1
+points (8192 for a full support at n = 4096).  O((n + L) log(n + L)) time,
 O(n) memory.
 
 T = iR with R real, antisymmetric and Toeplitz, and d is palindromic, so the
@@ -33,11 +30,8 @@ eigenvalues are therefore 1/2 +- sigma_k, with sigma_k the singular values
 of the real ceil(n/2) x floor(n/2) block B that maps the J-odd vectors onto
 the J-even ones (plus 1/2 itself once for odd n).  :func:`dense_spectrum`
 takes sigma_k as the square roots of the eigenvalues of the Gram matrix
-B^T B, a BLAS-3 product and a symmetric eigensolve of half the size.
-Squaring B squares its condition number, so sigma_k carries an absolute
-error of about eps ||B||^2 / (2 sigma_k) with ||B|| <= 1/2, largest at the
-smallest sigma_k, about 1/(4n).  Measured, every eigenvalue stays within
-2e-14 of an SVD of B up to n = 4096.
+B^T B, a BLAS-3 product and a symmetric eigensolve of half the size;
+measured, every eigenvalue stays within 2e-14 of an SVD of B up to n = 4096.
 
 Two principal-value quadratures are provided, with different error profiles:
 
@@ -58,17 +52,16 @@ Two principal-value quadratures are provided, with different error profiles:
     structure of the spectrum visible at modest grid sizes.  Use it for
     spectrum studies, not for applying the operator accurately.
 
-Both variants are Hermitian by construction with eigenvalues strictly inside
-(0, 1) up to roundoff.  The subtraction rule's self-term correction (the
-difference between the truncated-interval log term and the skip-sum) is
-purely imaginary in weighted coordinates and is therefore dropped from the
-operator; the tests compute that term and check that the operator plus it
-reproduces the subtraction quadrature exactly.
+Both variants are Hermitian by construction, with eigenvalues strictly
+inside (0, 1) up to roundoff.  The subtraction rule's self-term (the
+truncated-interval log term minus the skip-sum) is purely imaginary in
+weighted coordinates, so it is dropped; the tests add it back and recover
+the subtraction quadrature exactly.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -87,11 +80,6 @@ __all__ = [
 QUADRATURES = ("parity", "subtraction")
 
 
-def _circulant_fft(column: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """FFT of the 2n circulant whose leading n x n block is toeplitz(column, row)."""
-    return np.fft.fft(np.concatenate((column, [0.0], row[:0:-1])))
-
-
 def _endpoint_scale(n: int) -> np.ndarray:
     """d = sqrt(w_i / (E_i du)): 1/sqrt(2) at the two endpoints, 1 inside."""
     d = np.ones(n)
@@ -99,31 +87,33 @@ def _endpoint_scale(n: int) -> np.ndarray:
     return d
 
 
-# Cached because apply_m_direct needs both on every call: uncached they cost
-# 14-18 us a call at n = 4096, 3-3.6 ms of a 200-step direct orbit (about 3 %
-# of perfbench's orbit_dual)
-@lru_cache(maxsize=16)
-def _weighted_scales(grid: LogEnergyGrid) -> tuple:
-    """(d sqrt(w), d / sqrt(w)), read-only: into T's coordinates and back out."""
-    s = np.sqrt(grid.weights)
-    d = _endpoint_scale(grid.n)
-    return _readonly(d * s), _readonly(d / s)
-
-
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
     """The operator in weighted coordinates, D T D + I/2 with T Hermitian Toeplitz.
 
-    ``column`` is T's first column (T_k0 for k = 0..n-1; its first row is
-    the conjugate) and ``circulant_fft`` the FFT of its 2n circulant
-    embedding, from which :func:`apply_m_direct` derives the kernel of each
-    support it meets.  Operators compare and hash by identity.
+    ``column`` is T's first column (T_k0 for k = 0..n-1), whose conjugate
+    is T's first row; :func:`apply_m_direct` slices each support's kernel
+    off it.  ``to_t`` = d sqrt(w) and ``from_t`` = d / sqrt(w), derived
+    from the grid, scale into T's coordinates and back out.  Operators
+    compare and hash by identity.
     """
 
     grid: LogEnergyGrid
     quadrature: str
     column: np.ndarray
-    circulant_fft: np.ndarray
+    to_t: np.ndarray = field(init=False, repr=False)
+    from_t: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        s = np.sqrt(self.grid.weights)
+        d = _endpoint_scale(self.grid.n)
+        object.__setattr__(self, "to_t", _readonly(d * s))
+        object.__setattr__(self, "from_t", _readonly(d / s))
+
+    @property
+    def circulant_fft(self) -> np.ndarray:
+        """FFT of T's 2n circulant embedding, computed on each access."""
+        return np.fft.fft(np.concatenate((self.column, [0.0], self.column[:0:-1].conj())))
 
 
 def build_dense_m(grid: LogEnergyGrid, quadrature: str = "parity") -> DenseOperator:
@@ -139,22 +129,21 @@ def build_dense_m(grid: LogEnergyGrid, quadrature: str = "parity") -> DenseOpera
     column[1:] = (1j / (2.0 * np.pi)) * grid.du / (2.0 * np.sinh(0.5 * grid.du * k))
     if quadrature == "parity":
         column[1:] *= np.where(k & 1, 2.0, 0.0)
-    return DenseOperator(grid=grid, quadrature=quadrature, column=_readonly(column),
-                         circulant_fft=_readonly(_circulant_fft(column, column.conj())))
+    return DenseOperator(grid=grid, quadrature=quadrature, column=_readonly(column))
 
 
 @lru_cache(maxsize=1)
 def _support_kernel(op: DenseOperator, start: int, stop: int) -> np.ndarray:
     """FFT of T's offsets -(stop - 1) .. n - 1 - start for the support [start, stop).
 
-    The entries are read off the inverse FFT of ``op.circulant_fft``, whose
-    entry k mod 2n is T's offset k, and zero-padded to the
-    :func:`_fft_length` of n + stop - start - 1.  Read-only; the last one is
-    kept, since a trajectory applies one operator to one support.
+    Offset -k is the conjugate of ``op.column[k]`` and offset k is
+    ``op.column[k]``; the n + stop - start - 1 entries are zero-padded to
+    their :func:`_fft_length`.  Read-only; the last one is kept, since a
+    trajectory applies one operator to one support.
     """
-    offsets = np.arange(-(stop - 1), op.grid.n - start)
-    embedded = np.take(np.fft.ifft(op.circulant_fft), offsets, mode="wrap")
-    return _readonly(np.fft.fft(embedded, _fft_length(offsets.size)))
+    column = op.column
+    entries = np.concatenate((column[stop - 1:0:-1].conj(), column[:op.grid.n - start]))
+    return _readonly(np.fft.fft(entries, _fft_length(entries.size)))
 
 
 def apply_m_direct(state: EnergyState, op: DenseOperator) -> EnergyState:
@@ -169,12 +158,11 @@ def apply_m_direct(state: EnergyState, op: DenseOperator) -> EnergyState:
     length = support.stop - support.start
     out = 0.5 * state.amplitudes
     if length:
-        to_t, from_t = _weighted_scales(op.grid)
         kernel = _support_kernel(op, support.start, support.stop)
-        x = np.fft.fft(to_t[support] * state.amplitudes[:, support], kernel.size, axis=-1)
+        x = np.fft.fft(op.to_t[support] * state.amplitudes[:, support], kernel.size, axis=-1)
         x *= kernel
         y = np.fft.ifft(x, axis=-1, out=x)[:, length - 1:length - 1 + op.grid.n]
-        y *= from_t
+        y *= op.from_t
         out += y
     return EnergyState(state.grid, state.channels, _readonly(out))
 
@@ -212,9 +200,11 @@ def dense_spectrum(op: DenseOperator) -> np.ndarray:
 
     They are 1/2 +- sigma_k, plus 1/2 once more for odd n, with sigma_k the
     singular values of :func:`_reversal_block` B taken from the eigenvalues
-    of B^T B (absolute error about eps ||B||^2 / (2 sigma_k)).  Raises
-    ValueError, before allocating, when B and B^T B (about 4 n^2 bytes)
-    would not fit in the host's physical memory.
+    of B^T B.  Squaring B squares its condition number: sigma_k carries an
+    absolute error of about eps ||B||^2 / (2 sigma_k), ||B|| <= 1/2, largest
+    at the smallest sigma_k, about 1/(4n).  Raises ValueError, before
+    allocating, when B and B^T B (about 4 n^2 bytes) would not fit in the
+    host's physical memory.
     """
     n = op.grid.n
     o = n // 2

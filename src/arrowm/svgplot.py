@@ -23,17 +23,21 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _range(v: np.ndarray) -> tuple:
+    """(min, max) of ``v``; [lo, lo + 1] where v is constant, [0, 1] where empty."""
+    lo, hi = (float(np.min(v)), float(np.max(v))) if v.size else (0.0, 0.0)
+    return lo, (hi if hi != lo else lo + 1.0)
+
+
 def write_line_plot(path, x, series: dict, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
-    """Write one SVG with a polyline per entry of ``series`` (label -> y array)."""
+    """Write one SVG with a polyline per entry of ``series`` (label -> y array).
+
+    With no points, the frame and ticks span [0, 1] and each polyline is empty.
+    """
     x = np.asarray(x, dtype=float)
     ys = {k: np.asarray(v, dtype=float) for k, v in series.items()}
-    x0, x1 = float(np.min(x)), float(np.max(x))
-    ally = np.concatenate([v for v in ys.values()])
-    y0, y1 = float(np.min(ally)), float(np.max(ally))
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
+    x0, x1 = _range(x)
+    y0, y1 = _range(np.concatenate([v for v in ys.values()]))
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
     pw, ph = _W - _ML - _MR, _H - _MT - _MB

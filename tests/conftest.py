@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
 from arrowm import CHANNELS, eigenvalue_of_frequency, make_log_grid, make_state, tukey_window
-from arrowm.operator import QUADRATURES, _circulant_fft, _endpoint_scale, _reversal_block
+from arrowm.operator import QUADRATURES, _endpoint_scale, _reversal_block
 
 # Cross-path comparisons need a wide log window: the fast path wraps the
 # operator output around the grid period, so the Toeplitz/circulant mismatch
@@ -19,6 +19,11 @@ RESIDUAL_N = 2048
 RESIDUAL_FLAT = 15.2
 RESIDUAL_TAPER = 2.5
 RESIDUAL_INTERIOR = 2.3
+
+
+def _circulant_fft(column, row):
+    """FFT of the 2n circulant whose leading n x n block is toeplitz(column, row)."""
+    return np.fft.fft(np.concatenate((column, [0.0], row[:0:-1])))
 
 
 def _toeplitz_apply(circulant_fft, x):

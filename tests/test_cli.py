@@ -295,6 +295,10 @@ def _plotted_rows(csv_path):
     ("eigden", {"grid.n": 2048, "frames.density_points": 501}),
     ("fig2", {"grid.n": 2048, "frames.times": (2.0, 4.0), "frames.x_points": 801,
               "frames.density_points": 401}),
+    # no lattice point of 2 or 3 lies in the plotted bulk window [1e-3, 1 - 1e-3]
+    ("eigden", {"grid.n": 512, "frames.density_points": 2}),
+    ("fig2", {"grid.n": 512, "frames.times": (2.0, 4.0), "frames.x_points": 101,
+              "frames.density_points": 3}),
 ])
 def test_every_svg_is_well_formed_with_one_point_per_row(tmp_path, sub, extra):
     run_scenario(sub, cfg_for(sub, tmp_path, extra=extra))
@@ -313,8 +317,8 @@ def test_svg_text_is_escaped(tmp_path):
     assert {*labels.values(), "a<b", "c&d"} <= texts
 
 
-@pytest.mark.parametrize("x, y", [([1.0], [2.0]), ([0.0, 1.0, 2.0], [3.0, 3.0, 3.0])],
-                         ids=["single_point", "constant_series"])
+@pytest.mark.parametrize("x, y", [([1.0], [2.0]), ([0.0, 1.0, 2.0], [3.0, 3.0, 3.0]), ([], [])],
+                         ids=["single_point", "constant_series", "no_points"])
 def test_svg_of_a_zero_width_range_is_well_formed(tmp_path, x, y):
     write_line_plot(tmp_path / "p.svg", x, {"y": y})
     assert _polyline_sizes(tmp_path / "p.svg") == [len(x)]
@@ -580,6 +584,22 @@ def test_main_unwritable_output_file_exits_two_with_one_line(tmp_path, capsys, b
     assert rc == 2
     assert err.startswith("arrow-m fig1: ") and err.count("\n") == 1
     assert blocked in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub,runner_dependency", [("fig1", "trajectory"), ("eigden", "evolve")])
+def test_main_out_of_memory_exits_two_with_one_line(tmp_path, monkeypatch, capsys, sub,
+                                                     runner_dependency):
+    # numpy raises a MemoryError subclass when an array cannot be allocated
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.42 PiB for an array")
+
+    monkeypatch.setattr(cli, runner_dependency, refuse)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("grid.n = 512\ntimes.steps = 5\n")
+    rc = main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"arrow-m {sub}: out of memory: Unable to allocate 1.42 PiB for an array\n"
 
 
 def test_main_failed_verify_exits_one(tmp_path, monkeypatch, capsys):

@@ -30,7 +30,6 @@ from arrowm import (
 
 from arrowm import dynamics
 from arrowm.mellin import _grid_factors
-from arrowm.operator import _circulant_fft
 from conftest import WIDE_BOUNDS, gaussian_window, zero_state
 
 FIG_PARAMS = GaussianPacketParams(eta=1.0, p0=0.64, xi0=0.3)
@@ -228,11 +227,11 @@ def test_direct_path_builds_the_operator_when_none_is_given(rng):
 
 
 def test_direct_path_raises_on_an_imaginary_part(rng):
-    # a Toeplitz T whose first row is its first column, not its conjugate, is
-    # not Hermitian, so the quadratic form is complex
+    # an imaginary T_00 is the one non-Hermitian T a column holds (its first
+    # row is the column's conjugate past T_00), so the quadratic form is complex
     g = make_log_grid(1e-2, 1e2, 64)
     op = build_dense_m(g)
-    broken = dataclasses.replace(op, circulant_fft=_circulant_fft(op.column, op.column))
+    broken = dataclasses.replace(op, column=op.column + 1e-3j * (np.arange(g.n) == 0))
     f = random_smooth_state(g, rng)
     with pytest.raises(ArithmeticError, match="imaginary part"):
         expectation_m(f, "direct", broken)

@@ -28,7 +28,7 @@ from arrowm import (
 )
 from arrowm import operator
 from arrowm.grid import _fft_length, _support
-from arrowm.operator import _circulant_fft
+from arrowm.operator import _endpoint_scale
 
 from conftest import (
     WIDE_BOUNDS,
@@ -76,10 +76,10 @@ def test_hermitian_for_random_bounds(rng, quadrature):
 
 
 def test_hermiticity_residual_flags_unconjugated_row():
-    # a circulant built from (column, column) embeds a non-Hermitian Toeplitz T
+    # T's first row is the column's conjugate past T_00, so the one
+    # non-Hermitian T a column holds has an imaginary diagonal
     op = build_dense_m(make_log_grid(1e-3, 1e3, 256), "subtraction")
-    bad = DenseOperator(grid=op.grid, quadrature=op.quadrature, column=op.column,
-                        circulant_fft=_circulant_fft(op.column, op.column))
+    bad = DenseOperator(op.grid, op.quadrature, op.column + 1e-3j * (np.arange(256) == 0))
     assert hermiticity_residual(bad) > 1e-12
 
 
@@ -87,6 +87,22 @@ def test_hermiticity_residual_flags_unconjugated_row():
 def test_diagonal_is_one_half(quadrature):
     op = build_dense_m(make_log_grid(1e-2, 1e2, 32), quadrature=quadrature)
     assert np.allclose(np.diag(toeplitz_matrix(op)), 0.5, rtol=0.0, atol=0.0)
+
+
+def test_build_takes_no_fft_and_the_kernel_no_inverse_fft(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no FFT expected")
+
+    g = make_log_grid(1e-2, 1e2, 64)
+    with monkeypatch.context() as m:
+        m.setattr(np.fft, "fft", refuse)
+        m.setattr(np.fft, "ifft", refuse)
+        op = build_dense_m(g)
+    np.testing.assert_array_equal(op.to_t, np.sqrt(g.weights) * _endpoint_scale(g.n))
+    assert not op.to_t.flags.writeable and not op.from_t.flags.writeable
+    monkeypatch.setattr(np.fft, "ifft", refuse)
+    operator._support_kernel.cache_clear()
+    assert operator._support_kernel(op, 5, 40).size == _fft_length(g.n + 34)
 
 
 def test_unknown_quadrature_rejected():
@@ -251,9 +267,7 @@ def test_dense_spectrum_symmetric_about_one_half(bounds, n, quadrature):
 
 def test_dense_spectrum_rejects_column_with_real_part():
     op = build_dense_m(make_log_grid(1e-3, 1e3, 64))
-    column = op.column + 1e-3
-    bad = DenseOperator(grid=op.grid, quadrature=op.quadrature, column=column,
-                        circulant_fft=_circulant_fft(column, column.conj()))
+    bad = DenseOperator(op.grid, op.quadrature, op.column + 1e-3)
     with pytest.raises(ValueError, match="purely imaginary"):
         dense_spectrum(bad)
 
