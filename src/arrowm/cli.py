@@ -281,7 +281,7 @@ def eigen_density_frame(state, points: int):
     nu, rho = eigen_density(state, _FRAME_NU_EDGE, span_pos, points)
     m = eigenvalue_of_frequency(nu)
     covered = float(np.trapezoid(np.sum(rho, axis=0) * frequency_jacobian(m), nu))
-    mass, first = _moments(spec.grid, weight)
+    mass, first = _moments(spec.grid, np.fft.ifftshift(spec.coefficients, axes=-1))
     below = float(np.sum(weight[spec.frequencies < _FRAME_NU_EDGE]) / mass)
     return nu, m, rho, covered, float(mass), float(first), below
 

@@ -13,17 +13,20 @@ A trajectory follows its orbit on either route through one driver.  It
 finds the state's support once per call, evolves the times in blocks by the
 same helper as :func:`evolve`, and deals the blocks round-robin to threads,
 the calling thread first.  When the times are an arithmetic progression,
-the helper uses the group law U(t_q + r dt) = U(t_q) U(r dt): a block's
-first row is cos + i sin as in :func:`evolve`, and its row r is that row
-times the step row e^{-i E r dt}, computed once per call.  Each route turns
-a block into two sums per time and reduces the whole orbit's sums once:
+the helper uses the group law U(t_q + r dt) = U(r dt) U(t_q): a block's
+first row is the state times cos + i sin, as in :func:`evolve`, and its
+row r is that evolved row times the step row e^{-i E r dt}, computed once
+per call.  Each route turns a block into two sums per time and reduces the
+whole orbit's sums once:
 
-- fast: the eigenvalue density's mass and first moment, on one thread per
-  usable CPU, at most two; the masses are checked as norms and each value
-  is first / mass.  Every operation after the phases is the per-time one,
-  row by row, so the values equal ``expectation_m(evolve(state, t))`` bit
-  for bit at block starts and at every time off a progression, to within
-  1e-15 elsewhere, and bit-identical whatever the worker count.
+- fast: the eigenvalue density's mass and first moment, by the moments
+  kernel of :func:`eigen_density_moments`, which squares the block's
+  coefficients in place; on one thread per usable CPU, at most two.  The
+  masses are checked as norms and each value is first / mass.  Every
+  operation after the phases is the per-time one, row by row, so the
+  values equal ``expectation_m(evolve(state, t))`` bit for bit at block
+  starts and at every time off a progression, to within 1e-15 elsewhere,
+  and bit-identical whatever the worker count.
 - direct: Re and Im of q = (psi, M psi) by :func:`apply_m_direct` and
   :func:`inner_product`, on the calling thread.  The norm, which U(t)
   preserves, is checked once before an operator is built; every imaginary
@@ -53,17 +56,18 @@ MONOTONE_TOL = 1e-8
 _IMAG_TOL = 1e-10
 PATHS = ("fast", "direct")
 
-# A trajectory's block size on either path, at 24 bytes per (time, channel,
-# point): a fast block's complex amplitudes and real squares (a direct block
-# holds the amplitudes only); its phases on the support, 16 bytes per (time,
-# point), are freed before the transform.  0.75 MiB is 4
-# times at n = 4096 with two channels.  On a 2-core Xeon (2 MiB L2 per core), a
-# 4000-step trajectory on two workers ran within 10 % for blocks of 4 to 64
-# times and 1.7x slower for blocks of 1; on one worker, 4 to 16 was fastest.
-# Those were timed with cos + i sin on every row.  A progression adds the
-# b - 1 step rows of the group law, 16 bytes per (row, point) once per call
-# (192 KB at n = 4096), and takes cos + i sin once per block, so larger
-# blocks would save more phases but hold a larger step table.
+# A trajectory's block size on either path, at 16 bytes per (time, channel,
+# point): the block's complex amplitudes, whose float view the fast route
+# squares in place, so neither route holds a real temporary.  0.75 MiB is 6
+# times at n = 4096 with two channels.  Off a progression the phases on the
+# support, 16 bytes per (time, point), are freed before the transform; on a
+# progression only a block's first row takes a phase, and the b - 1 step
+# rows of the group law, 16 bytes per (row, point), are formed once per call
+# (320 KB at n = 4096).  On a 2-core Xeon (2 MiB L2 per core), a 4000-step
+# trajectory on two workers ran within 10 % for blocks of 4 to 64 times and
+# 1.7x slower for blocks of 1; on one worker, 4 to 16 was fastest (timed
+# with cos + i sin on every row).  Blocks of 8 took the fast and direct
+# trajectories' workspaces to 3.05 and 2.30 MB, over their tests' bounds.
 _BLOCK_BYTES = 3 << 18
 # Worker threads of a fast trajectory: the usable CPUs, at most 2.  Each
 # worker first-touches its temporaries and numpy's buffers once per call
@@ -72,12 +76,14 @@ _BLOCK_BYTES = 3 << 18
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 # Band of max|a| inside which <M> is evaluated as given.  Both routes sum
-# squares (w |a|^2, |chat|^2), which overflow or go subnormal far enough
-# outside it: random_smooth_state on four grids, from (1e-3, 1e3) to
+# squares (w |a|^2, re^2 + im^2 of chat), which overflow or go subnormal far
+# enough outside it: random_smooth_state on four grids, from (1e-3, 1e3) to
 # (1e-22, 1e21) and n = 64 to 4096, scaled by 2^k in steps of 10, kept <M>
 # within 1e-15 on both routes for max|a| from about 2^-490 to 2^510, and
-# not beyond.  Outside the band a state is first scaled to max|a| in [1/2, 1).
-# The band is [2^-400, 2^400), where max|a| has frexp exponents -399 to 400.
+# not beyond; at the band's two end binades the fast <M> is the unscaled
+# one exactly (three windows, n = 64, 257 and 4096).  Outside the band a
+# state is first scaled to max|a| in [1/2, 1).  The band is [2^-400, 2^400),
+# where max|a| has frexp exponents -399 to 400.
 _SAFE_EXPONENTS = (-399, 400)
 
 
@@ -100,19 +106,17 @@ def _evolved(state: EnergyState, t: np.ndarray, support: slice,
     The phases are cos + i sin of -E t on ``support`` only; the columns
     outside it are 0.0.  There the amplitudes are zero, and the phases of
     large E t would cost a slow range reduction each.  With ``steps``, the
-    rows e^{-i E r dt} of :func:`_progression_steps`, only row 0 is cos +
-    i sin and row r is row 0 times ``steps[r - 1]``: the group law
-    U(t_0 + r dt) = U(t_0) U(r dt).
+    rows e^{-i E r dt} of :func:`_progression_steps`, only row 0 takes
+    cos + i sin, and row r is row 0 times ``steps[r - 1]``: the group law
+    U(t_0 + r dt) = U(r dt) U(t_0).
     """
     energies = state.grid.points[support]
-    phases = np.empty((t.size, energies.size), dtype=complex)
-    if steps is None:
-        _phases(t, energies, phases)
-    else:
-        _phases(t[:1], energies, phases[:1])
-        np.multiply(phases[0], steps[:t.size - 1], out=phases[1:])
+    first = t.size if steps is None else 1  # the rows that take cos + i sin
+    phases = _phases(t[:first], energies, np.empty((first, energies.size), dtype=complex))
     out = np.empty((t.size, *state.amplitudes.shape), dtype=complex)
-    np.multiply(state.amplitudes[:, support], phases[:, None, :], out=out[..., support])
+    np.multiply(state.amplitudes[:, support], phases[:, None, :], out=out[:first, :, support])
+    if steps is not None:
+        np.multiply(out[:1, :, support], steps[:t.size - 1, None, :], out=out[1:, :, support])
     out[..., :support.start] = 0.0
     out[..., support.stop:] = 0.0
     return out
@@ -296,9 +300,9 @@ def trajectory(
 
 
 def _block_size(state: EnergyState) -> int:
-    """Times per block: ``_BLOCK_BYTES`` at 24 bytes per (time, channel, point)."""
+    """Times per block: ``_BLOCK_BYTES`` at 16 bytes per (time, channel, point)."""
     channels, n = state.amplitudes.shape
-    return max(1, _BLOCK_BYTES // (24 * channels * n))
+    return max(1, _BLOCK_BYTES // (16 * channels * n))
 
 
 def _orbit(state: EnergyState, t: np.ndarray, block_sums, workers: int) -> np.ndarray:

@@ -25,10 +25,11 @@ zero-padded to the smallest 2^a 3^b 5^c >= n + points - 1, in
 O((n + points) log(n + points)) time and O(n + points) memory.
 
 Every factor of the transforms that depends on the grid alone (e^{+-u/2},
-the forward prefactor and inverse phase, the frequency lattice and m(nu) on
-it) is computed once per grid and kept, read-only, for the 16 most recently
-used grids.  Each is formed by the same operations in the same order as an
-inline computation, so cached results are bit-identical to uncached ones.
+the forward prefactor and inverse phase, the frequency lattice, m(nu) on it
+and m(nu) in FFT order paired for (Re, Im)) is computed once per grid and
+kept, read-only, for the 16 most recently used grids.  Each is formed by
+the same operations in the same order as an inline computation, so cached
+results are bit-identical to uncached ones.
 
 Eigenfunctions are not square integrable; tests window them in u before
 applying either operator path.  The completeness check evaluates the
@@ -100,6 +101,7 @@ class _GridFactors(NamedTuple):
     inverse_phase: np.ndarray  # e^{-i nu_k u_0}, FFT order
     frequencies: np.ndarray  # ascending nu_k
     multiplier: np.ndarray  # m(nu_k) on the ascending lattice
+    paired_multiplier: np.ndarray  # m(nu_k) in FFT order, each twice: (Re, Im) of chat_k
 
 
 @lru_cache(maxsize=16)
@@ -113,13 +115,15 @@ def _grid_factors(grid: LogEnergyGrid) -> _GridFactors:
     u = grid.log_points
     nu = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.du)
     frequencies = np.fft.fftshift(nu)
+    multiplier = eigenvalue_of_frequency(frequencies)
     factors = _GridFactors(
         half=np.exp(0.5 * u),
         inverse_half=np.exp(-0.5 * u),
         forward=(2.0 * np.pi) ** -0.5 * grid.du * np.exp(1j * nu * u[0]),
         inverse_phase=np.exp(-1j * nu * u[0]),
         frequencies=frequencies,
-        multiplier=eigenvalue_of_frequency(frequencies),
+        multiplier=multiplier,
+        paired_multiplier=np.repeat(np.fft.ifftshift(multiplier), 2),
     )
     return _GridFactors(*map(_readonly, factors))
 
@@ -154,19 +158,10 @@ def _frequency_spacing(grid: LogEnergyGrid) -> float:
 
 def spectral_weight(spec: MellinSpectrum) -> np.ndarray:
     """|chat(nu_k)|^2 dnu summed over channels: the state's mass at each frequency."""
-    return _weight(spec.grid, np.fft.ifftshift(spec.coefficients, axes=-1))
-
-
-def _weight(grid: LogEnergyGrid, chat: np.ndarray) -> np.ndarray:
-    """|chat|^2 dnu over the channels of FFT-order ``chat`` (..., channels, n), ascending."""
-    square = np.abs(chat)
+    square = np.abs(spec.coefficients)
     np.square(square, out=square)
-    n = grid.n
-    low = n - n // 2  # FFT indices [0, low) hold the frequencies >= 0
-    weight = np.empty(chat.shape[:-2] + (n,))
-    np.sum(square[..., :low], axis=-2, out=weight[..., n - low:])
-    np.sum(square[..., low:], axis=-2, out=weight[..., :n - low])
-    weight *= _frequency_spacing(grid)
+    weight = np.sum(square, axis=0)
+    weight *= spec.dnu
     return weight
 
 
@@ -219,14 +214,14 @@ def eigen_density(state: EnergyState, nu_start: float, nu_stop: float, points: i
     integer square is formed exactly in int64, and :func:`_chirp` reduces its
     phase modulo 2 pi before a q is rounded.  Returns nu and rho of shape
     (n_channels, points).  Raises ValueError on non-finite bounds,
-    nu_start >= nu_stop, fewer than 2 points, or bounds whose m(nu) rounds
-    to 0 or 1.
+    nu_start >= nu_stop, a point count that is not a whole number of at
+    least 2 (inf and NaN included), or bounds whose m(nu) rounds to 0 or 1.
     """
     if not (np.isfinite(nu_start) and np.isfinite(nu_stop)):
         raise ValueError(f"frequency bounds must be finite, got [{nu_start}, {nu_stop}]")
     if not nu_start < nu_stop:
         raise ValueError(f"need nu_start < nu_stop, got [{nu_start}, {nu_stop}]")
-    if points < 2 or points != int(points):
+    if not np.isfinite(points) or points < 2 or points != int(points):
         raise ValueError(f"need a whole number of at least 2 points, got {points}")
     points = int(points)
     nu = np.linspace(nu_start, nu_stop, points)
@@ -278,29 +273,45 @@ def eigen_density_moments(state: EnergyState) -> tuple[float, float]:
 
     Evaluated in frequency space through the exact change of variables
     dm = |dm/dnu| dnu, which turns the moments into plain sums over the
-    discrete coefficient grid.
+    discrete coefficient grid: dnu times the sums of |chat|^2 and of
+    m(nu) |chat|^2, by :func:`_moments` on the coefficients in FFT order.
     """
     spec = forward_mellin(state)
-    mass, first = _moments(spec.grid, spectral_weight(spec))
+    mass, first = _moments(spec.grid, np.fft.ifftshift(spec.coefficients, axes=-1))
     return float(mass), float(first)
 
 
 def _block_moments(grid: LogEnergyGrid, amplitudes: np.ndarray):
     """:func:`eigen_density_moments` of a block of states: (mass, first), each of shape (b,).
 
-    Each row goes through the helpers of :func:`forward_mellin`,
-    :func:`spectral_weight` and :func:`_moments`, so it equals
-    :func:`eigen_density_moments` bit for bit.  ``amplitudes`` (complex,
-    shape (b, channels, n)) is overwritten by the coefficients.
+    Each row goes through the helper of :func:`forward_mellin` and through
+    :func:`_moments`, so it equals :func:`eigen_density_moments` bit for
+    bit.  ``amplitudes`` (complex, shape (b, channels, n)) is overwritten,
+    first by the coefficients and then by their squares.
     """
-    chat = _coefficients(_grid_factors(grid), amplitudes, out=amplitudes)
-    return _moments(grid, _weight(grid, chat))
+    return _moments(grid, _coefficients(_grid_factors(grid), amplitudes, out=amplitudes))
 
 
-def _moments(grid: LogEnergyGrid, weight: np.ndarray):
-    """(sum of weight, sum of m(nu) * weight) over the last axis of :func:`spectral_weight` arrays."""
-    first = np.sum(_grid_factors(grid).multiplier * weight, axis=-1)
-    return np.sum(weight, axis=-1), first
+def _moments(grid: LogEnergyGrid, chat: np.ndarray):
+    """(mass, first): dnu times the sums of |chat|^2 and of m(nu) |chat|^2 per state.
+
+    ``chat`` holds C-contiguous FFT-order coefficients of shape
+    (..., channels, n) and is overwritten.  Its float view is squared in
+    place (re^2 + im^2, with no square root), summed over each state's
+    channels and points, multiplied in place by m(nu) repeated for
+    (Re, Im), and summed again.  Only elementwise ops and np.sum over the
+    last axis keep each state's sums independent of the other rows of a
+    block: a matrix-vector product with m (BLAS dgemv) or np.einsum on a
+    block gave rows that differ from a one-row call, so the sums stay
+    np.sum.
+    """
+    squares = chat.view(float)  # (..., channels, 2n)
+    per_state = squares.reshape(*squares.shape[:-2], -1)  # a view of the same memory
+    np.square(squares, out=squares)
+    mass = np.sum(per_state, axis=-1)
+    np.multiply(squares, _grid_factors(grid).paired_multiplier, out=squares)
+    dnu = _frequency_spacing(grid)
+    return mass * dnu, np.sum(per_state, axis=-1) * dnu
 
 
 def sample_eigenfunction(m: float, channel: str, grid: LogEnergyGrid) -> EnergyState:

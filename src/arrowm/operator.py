@@ -94,8 +94,9 @@ class DenseOperator:
     ``column`` is T's first column (T_k0 for k = 0..n-1), whose conjugate
     is T's first row; :func:`apply_m_direct` slices each support's kernel
     off it.  ``to_t`` = d sqrt(w) and ``from_t`` = d / sqrt(w), derived
-    from the grid, scale into T's coordinates and back out.  Operators
-    compare and hash by identity.
+    from the grid, scale into T's coordinates and back out.  Raises
+    ValueError unless the quadrature is one of ``QUADRATURES`` and the
+    column holds n entries.  Operators compare and hash by identity.
     """
 
     grid: LogEnergyGrid
@@ -105,6 +106,12 @@ class DenseOperator:
     from_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        n = self.grid.n
+        if self.quadrature not in QUADRATURES or np.shape(self.column) != (n,):
+            raise ValueError(
+                f"need a quadrature from {QUADRATURES} and a column of {n} entries, "
+                f"got {self.quadrature!r} and shape {np.shape(self.column)}"
+            )
         s = np.sqrt(self.grid.weights)
         d = _endpoint_scale(self.grid.n)
         object.__setattr__(self, "to_t", _readonly(d * s))
@@ -122,8 +129,6 @@ def build_dense_m(grid: LogEnergyGrid, quadrature: str = "parity") -> DenseOpera
     T_k0 = (i/2 pi) du / (2 sinh(k du/2)) for k >= 1, doubled at odd k and
     zero at even k for the parity rule; T_00 = 0.  O(n) memory.
     """
-    if quadrature not in QUADRATURES:
-        raise ValueError(f"unknown quadrature {quadrature!r}; choose from {QUADRATURES}")
     k = np.arange(1, grid.n)
     column = np.zeros(grid.n, dtype=complex)
     column[1:] = (1j / (2.0 * np.pi)) * grid.du / (2.0 * np.sinh(0.5 * grid.du * k))

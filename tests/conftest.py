@@ -164,12 +164,17 @@ def apply_m_fast_oracle(state):
 
 
 def eigen_density_moments_oracle(state):
-    """``eigen_density_moments(state)``: (mass, first moment)."""
+    """``eigen_density_moments(state)``: (mass, first moment).
+
+    dnu times the sums of re^2 + im^2 and of m(nu) (re^2 + im^2) over the
+    coefficients, each sum taken over (channel, FFT-order frequency, Re/Im).
+    """
     grid = state.grid
     dnu = 2.0 * np.pi / (grid.n * grid.du)
-    weight = np.sum(np.abs(forward_mellin_oracle(state)) ** 2, axis=0) * dnu
-    first = np.sum(_multiplier_oracle(grid) * weight)
-    return float(np.sum(weight)), float(first)
+    chat = np.fft.ifftshift(forward_mellin_oracle(state), axes=-1)
+    squares = np.stack([chat.real**2, chat.imag**2], axis=-1)
+    m = np.fft.ifftshift(_multiplier_oracle(grid))[:, None]
+    return float(np.sum(squares) * dnu), float(np.sum(m * squares) * dnu)
 
 
 def zero_state(grid, channels=CHANNELS):

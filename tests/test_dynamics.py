@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from arrowm import (
 )
 
 from arrowm import dynamics
+from arrowm.dynamics import _SAFE_EXPONENTS
 from arrowm.mellin import _grid_factors
 from conftest import WIDE_BOUNDS, gaussian_window, zero_state
 
@@ -210,14 +212,24 @@ def test_expectation_of_a_tiny_or_huge_state(scale):
 
 
 def test_states_inside_the_safe_band_are_taken_as_given(rng):
-    # ordinary states take no new path, so their values stay bit-identical
-    g = make_log_grid(1e-3, 1e3, 64)
-    f = random_smooth_state(g, rng)
-    for scale in (2.0**-399, 1.0, 2.0**399):
-        scaled = make_state(g, f.channels, f.amplitudes * scale)
-        assert dynamics._in_safe_range(scaled) is scaled
-    far = make_state(g, f.channels, f.amplitudes * 2.0**-401)
-    assert 0.5 <= np.max(np.abs(dynamics._in_safe_range(far).amplitudes)) < 1.0
+    # ordinary states take no new path, so their values stay bit-identical.
+    # Scaled by 2^k so that max|a| lies in [2^(k-1), 2^k), at the band's two
+    # end binades (k = -399 and 400) and inside it, the fast <M> equals the
+    # unscaled value exactly: its sums of re^2 + im^2 neither overflow nor go
+    # subnormal (0.0 measured for 4 seeds on these 9 grids)
+    for bounds in ((1e-3, 1e3), WIDE_BOUNDS, (5e-15, 50.0)):
+        for n in (64, 257, 4096):
+            g = make_log_grid(*bounds, n)
+            f = random_smooth_state(g, rng)
+            floats = f.amplitudes.view(float)
+            peak = math.frexp(np.max(np.abs(f.amplitudes)))[1]
+            for k in (_SAFE_EXPONENTS[0], 0, 1, _SAFE_EXPONENTS[1]):
+                inside = make_state(g, f.channels, np.ldexp(floats, k - peak).view(complex))
+                assert dynamics._in_safe_range(inside) is inside
+                assert expectation_m(inside) == expectation_m(f), (bounds, n, k)
+            far = make_state(g, f.channels, np.ldexp(floats, _SAFE_EXPONENTS[0] - 2 - peak)
+                             .view(complex))
+            assert 0.5 <= np.max(np.abs(dynamics._in_safe_range(far).amplitudes)) < 1.0
 
 
 def test_direct_path_builds_the_operator_when_none_is_given(rng):
@@ -314,7 +326,7 @@ def test_trajectory_is_expectation_along_the_orbit(rng):
 def test_fast_trajectory_blocks_equal_per_time_expectations(kind, workers, monkeypatch):
     # evenly spaced times: a block's first row takes cos + i sin as evolve
     # does, bit for bit, and its row r the group law U(t_q) U(r dt), within
-    # 1e-15 (3.3e-16 measured); moving one time off the progression falls
+    # 1e-15 (4.4e-16 measured); moving one time off the progression falls
     # back to cos + i sin on every row, bit for bit
     t_start = 0.0
     if kind == "fig1_4096":
@@ -350,12 +362,12 @@ def test_fast_trajectory_blocks_equal_per_time_expectations(kind, workers, monke
 
 def test_fast_trajectory_follows_the_group_law_on_progressions():
     # Nyquist-safe states as in test_lyapunov_property_random_states: 400
-    # random progressions to |t| of 29 measured at most 5.6e-16 from the
-    # per-time values; states whose tails alias drift further (6e-15 measured
-    # at |t| of 85 with the default random_smooth_state)
+    # random progressions to |t| of 39 measured at most 7.8e-16 from the
+    # per-time values in blocks of 96 (5.6e-16 in blocks of 64, with a
+    # table of phases); states whose tails alias drift further (6e-15
+    # measured at |t| of 85 with the default random_smooth_state)
     g = make_log_grid(1e-3, 1e3, 256)
-    b = 64
-    assert dynamics._block_size(random_smooth_state(g, np.random.default_rng(0))) == b
+    b = dynamics._block_size(random_smooth_state(g, np.random.default_rng(0)))
 
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), t0=st.floats(-10.0, 10.0),
@@ -375,8 +387,8 @@ def test_fast_trajectory_follows_the_group_law_on_progressions():
 
 def test_fast_trajectory_workspace_is_bounded(monkeypatch):
     # two workers, each holding one block's temporaries at a time: the
-    # 4 x 2 x 4096 complex amplitudes, their squares and the weights, with
-    # the phases freed before the transform: 2.3 MB measured
+    # 6 x 2 x 4096 complex amplitudes, squared in place, and one phase row,
+    # beside the 5 step rows of the group law: 2.40 MB measured
     monkeypatch.setattr(dynamics, "_WORKERS", 2)
     state = fig_packet(4096)
     times = np.linspace(0.0, 32.0, 4000)
@@ -391,9 +403,9 @@ def test_fast_trajectory_workspace_is_bounded(monkeypatch):
 
 
 def test_direct_trajectory_workspace_is_bounded():
-    # one block of 4 evolved states, one apply_m_direct's FFT buffers and
-    # the operator, built inside the call: 1.58 MB measured on the fig1
-    # window (1.41 MB on the wide one, 1.11 MB with the operator given)
+    # one block of 6 evolved states, one apply_m_direct's FFT buffers and
+    # the operator, built inside the call: 1.91 MB measured on the fig1
+    # window (1.68 MB on the wide one, 1.65 MB with the operator given)
     state = fig_packet(4096)
     times = np.linspace(0.0, 32.0, 200)
     trajectory(state, times[:8], path="direct")
@@ -567,9 +579,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 def test_library_trajectory_does_not_fault_per_step():
     # Without the 4 MiB block freed at `import arrowm`, glibc's start-up
     # thresholds make every step of the direct path fault its arrays in
-    # afresh: about 4,200 faults for its 50 steps, against about 410 with
-    # the block.  The fast run allocates per block of times and faults about
-    # 760 times with the block, 1,070 or more without.
+    # afresh: about 3,750 faults for its 50 steps, against 480 to 530 with
+    # the block.  The fast run allocates per block of times and faults 640
+    # to 820 times with the block, 840 to 1,030 without.
     # Whether the start-up thresholds fault depends on the heap layout,
     # which shifts with the size of the environment, so each run repeats
     # at three paddings.

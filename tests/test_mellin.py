@@ -387,7 +387,7 @@ def test_eigen_density_rejects_non_finite_bounds_and_bad_lattices(rng, wide_grid
     for bounds in ((1.0, 1.0), (1.0, -1.0)):
         with pytest.raises(ValueError, match="nu_start < nu_stop"):
             eigen_density(f, *bounds, 11)
-    for points in (1, 0, -3, 2.5):
+    for points in (1, 0, -3, 2.5, np.inf, np.nan):
         with pytest.raises(ValueError, match="points"):
             eigen_density(f, -1.0, 1.0, points)
 

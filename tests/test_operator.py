@@ -110,6 +110,17 @@ def test_unknown_quadrature_rejected():
         build_dense_m(make_log_grid(1e-2, 1e2, 16), quadrature="midpoint")
 
 
+def test_operator_checks_its_quadrature_and_column_length():
+    # unchecked, "nonsense" was accepted and a 32-entry column failed deep
+    # inside apply_m_direct with numpy's "non-broadcastable output operand"
+    op = build_dense_m(make_log_grid(1e-3, 1e3, 64))
+    with pytest.raises(ValueError, match="'nonsense'"):
+        DenseOperator(op.grid, "nonsense", op.column)
+    for column in (op.column[:32], op.column[None], np.append(op.column, 0.0)):
+        with pytest.raises(ValueError, match="64 entries"):
+            DenseOperator(op.grid, op.quadrature, column)
+
+
 def test_apply_zero_state_is_zero(monkeypatch):
     g = make_log_grid(1e-2, 1e2, 64)
     op = build_dense_m(g)
