@@ -286,6 +286,25 @@ def eigen_density_frame(state, points: int):
     return nu, m, rho, covered, float(mass), float(first), below
 
 
+def _position_frame(params: GaussianPacketParams, t: float, points: int):
+    """(x, density, mass, variance) of the packet at t on its center +- 8.5 spreads.
+
+    Raises ValueError, naming t, where any of them overflows (|t| above
+    about 1e153 for the fig1 packet).
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            center = params.p0 / params.eta * t
+            half = 8.5 * position_spread(params, t)
+            x = np.linspace(center - half, center + half, points)
+            dens = position_density(params, x, t)
+            mass = float(np.trapezoid(dens, x))
+            mean = float(np.trapezoid(x * dens, x) / mass)
+            return x, dens, mass, float(np.trapezoid((x - mean) ** 2 * dens, x) / mass)
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"the position frame at t = {t:g} overflows double precision") from None
+
+
 def _write_density_frame(out: Path, stem: str, t: float, nu, m, rho, svg: bool) -> None:
     write_csv(out / f"{stem}.csv", ("m", "rho_plus", "rho_minus", "nu"),
               m, rho[0], rho[1], nu)
@@ -419,10 +438,7 @@ def run_fig2(cfg: dict, out: Path) -> dict:
         "n_frames": len(frame_times),
     }
     for k, t in enumerate(frame_times):
-        center = params.p0 / params.eta * t
-        half = 8.5 * position_spread(params, t)
-        x = np.linspace(center - half, center + half, cfg["frames.x_points"])
-        dens = position_density(params, x, t)
+        x, dens, mass_x, var_x = _position_frame(params, t, cfg["frames.x_points"])
         write_csv(out / f"position_density_{k:02d}.csv", ("coordinate", "density"), x, dens)
         if cfg["output.svg"]:
             write_line_plot(out / f"position_density_{k:02d}.svg", x, {"density": dens},
@@ -430,9 +446,6 @@ def run_fig2(cfg: dict, out: Path) -> dict:
         nu, m, rho, covered, mass, first, below = eigen_density_frame(
             evolve(state, t), points=cfg["frames.density_points"])
         _write_density_frame(out, f"eigen_density_{k:02d}", t, nu, m, rho, cfg["output.svg"])
-        mass_x = float(np.trapezoid(dens, x))
-        mean_x = float(np.trapezoid(x * dens, x) / mass_x)
-        var_x = float(np.trapezoid((x - mean_x) ** 2 * dens, x) / mass_x)
         summary[f"frame_{k:02d}_t"] = float(t)
         summary[f"frame_{k:02d}_position_mass"] = mass_x
         summary[f"frame_{k:02d}_position_variance"] = var_x

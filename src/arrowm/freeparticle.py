@@ -41,7 +41,12 @@ _TAIL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class GaussianPacketParams:
-    """Mass eta, momentum center p0, and momentum width xi0 (all with hbar = 1)."""
+    """Mass eta, momentum center p0, and momentum width xi0 (all with hbar = 1).
+
+    Raises ValueError unless all three are finite, eta > 0 and xi0^2 is a
+    normal float: a subnormal or zero xi0^2 breaks phi's normalization
+    (pi xi0^2)^{-1/4}, and an infinite one every formula below.
+    """
 
     eta: float
     p0: float
@@ -54,6 +59,10 @@ class GaussianPacketParams:
             raise ValueError(f"mass must be positive, got {self.eta}")
         if self.xi0 <= 0.0:
             raise ValueError(f"momentum width must be positive, got {self.xi0}")
+        if not np.finfo(float).tiny <= self.xi0 * self.xi0 < np.inf:
+            raise ValueError(
+                f"momentum width xi0 = {self.xi0} has a square outside the normal floats"
+            )
 
 
 def position_wavefunction(params: GaussianPacketParams, x, t: float) -> np.ndarray:
@@ -77,10 +86,16 @@ def position_spread(params: GaussianPacketParams, t: float) -> float:
 
 
 def momentum_wavefunction(params: GaussianPacketParams, p) -> np.ndarray:
-    """phi(p), the t = 0 momentum amplitude; unit L2 norm analytically."""
+    """phi(p), the t = 0 momentum amplitude; unit L2 norm analytically.
+
+    Far out in a narrow packet's tail the exponent overflows to -inf, and
+    phi reads its limit 0.
+    """
     p = np.asarray(p, dtype=float)
     xi0 = params.xi0
-    return (np.pi * xi0**2) ** -0.25 * np.exp(-((p - params.p0) ** 2) / (2.0 * xi0**2))
+    with np.errstate(over="ignore"):
+        exponent = -((p - params.p0) ** 2) / (2.0 * xi0**2)
+    return (np.pi * xi0**2) ** -0.25 * np.exp(exponent)
 
 
 def packet_tail_mass(params: GaussianPacketParams, e_min: float, e_max: float) -> float:
@@ -106,7 +121,8 @@ def to_energy_state(params: GaussianPacketParams, grid: LogEnergyGrid) -> Energy
     f_pm(E_i) = (eta / 2 E_i)^{1/4} phi(+-sqrt(2 eta E_i)); the Jacobian
     factor makes the combined two-channel norm equal the momentum norm.
     Raises when more than 1e-8 of the momentum mass falls outside the grid's
-    energy window, with a hint toward wider bounds.
+    energy window, with a hint toward wider bounds, and where the Jacobian
+    factor overflows at e_min.
     """
     tail = packet_tail_mass(params, grid.e_min, grid.e_max)
     if tail > _TAIL_TOL:
@@ -116,7 +132,13 @@ def to_energy_state(params: GaussianPacketParams, grid: LogEnergyGrid) -> Energy
         )
     E = grid.points
     p = np.sqrt(2.0 * params.eta * E)
-    jac_quarter = (params.eta / (2.0 * E)) ** 0.25
+    with np.errstate(over="ignore"):
+        jac_quarter = (params.eta / (2.0 * E)) ** 0.25
+    if not np.isfinite(jac_quarter[0]):
+        raise ValueError(
+            f"packet factor (eta / 2E)^(1/4) overflows at e_min = {grid.e_min:g} "
+            f"with eta = {params.eta:g}; raise e_min"
+        )
     amps = np.stack(
         [jac_quarter * momentum_wavefunction(params, p),
          jac_quarter * momentum_wavefunction(params, -p)]

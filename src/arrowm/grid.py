@@ -32,6 +32,9 @@ __all__ = [
 # Channel labels of the free particle: the sign of the momentum.
 CHANNELS = ("+", "-")
 
+# Smallest normal float; below it a grid point keeps fewer than 53 bits.
+_TINY = np.finfo(float).tiny
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -43,8 +46,9 @@ class LogEnergyGrid:
     """Truncated energy half-line [e_min, e_max], n points uniform in u = ln E.
 
     Grids compare and hash by (e_min, e_max, n); every array derives from
-    these three.  Raises ValueError unless 0 < e_min < e_max < inf and n is
-    a finite whole number of at least 2; NaN satisfies neither.
+    these three.  Raises ValueError unless 0 < e_min < e_max < inf, e_min
+    is a normal float (not subnormal), every weight is finite and n is a
+    finite whole number of at least 2; NaN satisfies none of these.
 
     Attributes
     ----------
@@ -69,14 +73,21 @@ class LogEnergyGrid:
         e_min, e_max, n = self.e_min, self.e_max, self.n
         if not (0.0 < e_min < e_max < np.inf):
             raise ValueError(f"grid needs 0 < e_min < e_max < inf, got [{e_min}, {e_max}]")
+        if e_min < _TINY:
+            raise ValueError(f"grid needs a normal e_min of at least {_TINY:g}, got {e_min}")
         if not (2 <= n < np.inf and n == int(n)):
             raise ValueError(f"need a whole number of at least 2 grid points, got {n}")
         n = int(n)
         u0 = np.log(e_min)
         du = (np.log(e_max) - u0) / (n - 1)
         u = u0 + du * np.arange(n)
-        points = np.exp(u)
-        weights = points * du
+        with np.errstate(over="ignore"):
+            points = np.exp(u)
+            weights = points * du
+        if not np.isfinite(weights[-1]):
+            raise ValueError(
+                f"grid [{e_min}, {e_max}] with {n} points has an infinite weight; lower e_max"
+            )
         weights[0] *= 0.5
         weights[-1] *= 0.5
         derived = {

@@ -24,12 +24,14 @@ exactly, by Bluestein's chirp-z transform: one FFT convolution with a chirp,
 zero-padded to the smallest 2^a 3^b 5^c >= n + points - 1, in
 O((n + points) log(n + points)) time and O(n + points) memory.
 
-Every factor of the transforms that depends on the grid alone (e^{+-u/2},
-the forward prefactor and inverse phase, the frequency lattice, m(nu) on it
-and m(nu) in FFT order paired for (Re, Im)) is computed once per grid and
-kept, read-only, for the 16 most recently used grids.  Each is formed by
-the same operations in the same order as an inline computation, so cached
-results are bit-identical to uncached ones.
+The four grid-only factors the forward transform and the moments read
+(e^{u/2}, the forward prefactor, the ascending frequency lattice and m(nu)
+in FFT order paired for (Re, Im)) are computed once per grid and kept,
+read-only, for the 16 most recently used grids; the inverse transform and
+the fast apply recompute theirs per call.  Each factor is formed by the
+same operations in the same order as an inline computation, so cached
+results are bit-identical to uncached ones.  |chat|^2 is re^2 + im^2
+everywhere, with no square root.
 
 Eigenfunctions are not square integrable; tests window them in u before
 applying either operator path.  The completeness check evaluates the
@@ -93,39 +95,41 @@ def frequency_jacobian(m):
 
 
 class _GridFactors(NamedTuple):
-    """The transform pair's factors that depend on the grid alone."""
+    """The grid-only factors that the forward transform and the moments read."""
 
     half: np.ndarray  # e^{u_i/2}
-    inverse_half: np.ndarray  # e^{-u_i/2}
-    forward: np.ndarray  # (2 pi)^{-1/2} du e^{i nu_k u_0}, FFT order
-    inverse_phase: np.ndarray  # e^{-i nu_k u_0}, FFT order
+    forward: np.ndarray  # _forward on the FFT-order lattice
     frequencies: np.ndarray  # ascending nu_k
-    multiplier: np.ndarray  # m(nu_k) on the ascending lattice
     paired_multiplier: np.ndarray  # m(nu_k) in FFT order, each twice: (Re, Im) of chat_k
 
 
 @lru_cache(maxsize=16)
 def _grid_factors(grid: LogEnergyGrid) -> _GridFactors:
-    """Every grid-only factor of the transforms, computed once per grid, read-only.
+    """The :class:`_GridFactors` of ``grid``, computed once per grid, read-only.
 
     Each array is formed by the operations, in the order, that the
     transforms would apply inline, so the cached values are bit-identical to
     recomputing them per call.
     """
-    u = grid.log_points
     nu = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.du)
-    frequencies = np.fft.fftshift(nu)
-    multiplier = eigenvalue_of_frequency(frequencies)
     factors = _GridFactors(
-        half=np.exp(0.5 * u),
-        inverse_half=np.exp(-0.5 * u),
-        forward=(2.0 * np.pi) ** -0.5 * grid.du * np.exp(1j * nu * u[0]),
-        inverse_phase=np.exp(-1j * nu * u[0]),
-        frequencies=frequencies,
-        multiplier=multiplier,
-        paired_multiplier=np.repeat(np.fft.ifftshift(multiplier), 2),
+        half=np.exp(0.5 * grid.log_points),
+        forward=_forward(grid, nu),
+        frequencies=np.fft.fftshift(nu),
+        paired_multiplier=np.repeat(eigenvalue_of_frequency(nu), 2),
     )
     return _GridFactors(*map(_readonly, factors))
+
+
+def _forward(grid: LogEnergyGrid, nu: np.ndarray) -> np.ndarray:
+    """The forward transform's prefactor (2 pi)^{-1/2} du e^{i nu u_0} at frequencies ``nu``."""
+    return (2.0 * np.pi) ** -0.5 * grid.du * np.exp(1j * nu * grid.log_points[0])
+
+
+def _squared_modulus(chat: np.ndarray) -> np.ndarray:
+    """|chat|^2 as re^2 + im^2, read from the float view of the (contiguous) coefficients."""
+    parts = np.ascontiguousarray(chat).view(float)
+    return parts[..., ::2] ** 2 + parts[..., 1::2] ** 2
 
 
 def frequency_grid(grid: LogEnergyGrid) -> np.ndarray:
@@ -158,9 +162,7 @@ def _frequency_spacing(grid: LogEnergyGrid) -> float:
 
 def spectral_weight(spec: MellinSpectrum) -> np.ndarray:
     """|chat(nu_k)|^2 dnu summed over channels: the state's mass at each frequency."""
-    square = np.abs(spec.coefficients)
-    np.square(square, out=square)
-    weight = np.sum(square, axis=0)
+    weight = np.sum(_squared_modulus(spec.coefficients), axis=0)
     weight *= spec.dnu
     return weight
 
@@ -185,16 +187,18 @@ def _coefficients(factors: _GridFactors, amplitudes: np.ndarray, out=None) -> np
 
 def inverse_mellin(spec: MellinSpectrum) -> EnergyState:
     """Exact inverse of :func:`forward_mellin` (plain FFT pair, roundoff only)."""
-    factors = _grid_factors(spec.grid)
+    grid = spec.grid
+    u = grid.log_points
+    phase = np.exp(-1j * np.fft.ifftshift(spec.frequencies) * u[0])
     chat = np.fft.ifftshift(spec.coefficients, axes=-1)
-    F = (2.0 * np.pi) ** -0.5 * spec.dnu * np.fft.fft(chat * factors.inverse_phase, axis=-1)
-    return make_state(spec.grid, spec.channels, factors.inverse_half * F)
+    F = (2.0 * np.pi) ** -0.5 * spec.dnu * np.fft.fft(chat * phase, axis=-1)
+    return make_state(grid, spec.channels, np.exp(-0.5 * u) * F)
 
 
 def apply_m_fast(state: EnergyState) -> EnergyState:
     """Apply the operator as multiplication by m(nu) in coefficient space."""
     spec = forward_mellin(state)
-    scaled = spec.coefficients * _grid_factors(spec.grid).multiplier
+    scaled = spec.coefficients * eigenvalue_of_frequency(spec.frequencies)
     return inverse_mellin(MellinSpectrum(spec.grid, spec.channels, scaled))
 
 
@@ -243,14 +247,8 @@ def eigen_density(state: EnergyState, nu_start: float, nu_stop: float, points: i
         np.fft.fft(h, size, axis=-1) * np.fft.fft(_chirp(-turns, lag * lag), size),
         axis=-1,
     )[:, n - 1 : n - 1 + points]
-    chat = (
-        (2.0 * np.pi) ** -0.5
-        * grid.du
-        * np.exp(1j * nu * grid.log_points[0])
-        * _chirp(turns, k * k)
-        * conv
-    )
-    return nu, np.abs(chat) ** 2 / frequency_jacobian(m)
+    chat = _forward(grid, nu) * _chirp(turns, k * k) * conv
+    return nu, _squared_modulus(chat) / frequency_jacobian(m)
 
 
 def _chirp(turns: float, squares: np.ndarray) -> np.ndarray:

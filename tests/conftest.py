@@ -177,6 +177,12 @@ def eigen_density_moments_oracle(state):
     return float(np.sum(squares) * dnu), float(np.sum(m * squares) * dnu)
 
 
+def spectral_weight_oracle(spec):
+    """``spectral_weight(spec)``: dnu times the channel sum of re^2 + im^2."""
+    c = spec.coefficients
+    return spec.dnu * np.sum(c.real**2 + c.imag**2, axis=0)
+
+
 def zero_state(grid, channels=CHANNELS):
     return make_state(grid, channels, np.zeros((len(channels), grid.n), dtype=complex))
 

@@ -563,6 +563,14 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     ("fig1", "times.steps = 1\n"),
     ("evolve", "times.steps = 5\nstate.p0 = nan\n"),
     ("fig2", "frames.times = \n"),
+    # inputs that overflow a float (RuntimeWarnings are errors here)
+    ("fig1", "grid.e_min = 1e-320\n"),
+    ("spectrum", "grid.e_min = 1e-300\ngrid.e_max = 1e308\n"),
+    ("spectrum", "grid.e_min = 1e-3\ngrid.e_max = 1.7e308\n"),
+    ("fig1", "grid.e_min = 1e-300\nstate.eta = 1e10\n"),
+    ("fig1", "state.xi0 = 1e-170\n"),
+    ("fig1", "state.xi0 = 1e-160\n"),
+    ("fig2", "frames.times = 1e160\n"),
 ])
 def test_main_bad_scenario_exits_two_with_one_line(tmp_path, capsys, sub, text):
     cfg = tmp_path / "bad.cfg"
@@ -572,6 +580,16 @@ def test_main_bad_scenario_exits_two_with_one_line(tmp_path, capsys, sub, text):
     assert rc == 2
     assert err.startswith(f"arrow-m {sub}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_main_fig2_at_a_huge_finite_time(tmp_path):
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text("grid.n = 512\nframes.times = 1e100, 1e153\noutput.svg = false\n")
+    assert main(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+    summary = dict(line.split(" = ", 1) for line in lines)
+    for k in (0, 1):
+        assert float(summary[f"frame_{k:02d}_position_mass"]) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("blocked", ["trajectory.svg", "trajectory.csv"])

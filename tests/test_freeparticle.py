@@ -45,6 +45,23 @@ def test_params_validation():
                 GaussianPacketParams(**{"eta": 1.0, "p0": 0.64, "xi0": 0.3, field: bad})
 
 
+@pytest.mark.parametrize("xi0", [1e-170, 1e-160, 1e-154, 1e155, 1e160])
+def test_params_reject_a_width_whose_square_is_not_a_normal_float(xi0):
+    with pytest.raises(ValueError, match="square outside the normal floats"):
+        GaussianPacketParams(eta=1.0, p0=0.64, xi0=xi0)
+
+
+def test_narrow_packet_tail_reads_zero_without_overflow_warnings():
+    narrow = GaussianPacketParams(eta=1.0, p0=0.64, xi0=1e-100)
+    assert np.array_equal(momentum_wavefunction(narrow, [1e10, -1e200]), [0.0, 0.0])
+
+
+def test_packet_factor_overflow_raises():
+    heavy = GaussianPacketParams(eta=1e10, p0=0.64, xi0=0.3)
+    with pytest.raises(ValueError, match="overflows at e_min"):
+        to_energy_state(heavy, make_log_grid(1e-300, 50.0, 64))
+
+
 # ---------------------------------------------------------------------------
 # momentum representation: derived from the position form, checked by quadrature
 

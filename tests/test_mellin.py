@@ -29,6 +29,7 @@ from arrowm import (
     normalize_state,
     random_smooth_state,
     sample_eigenfunction,
+    spectral_weight,
     state_norm,
     to_energy_state,
     windowed_eigenfunction,
@@ -45,6 +46,7 @@ from conftest import (
     interior_residual,
     inverse_mellin_oracle,
     mellin_ndft,
+    spectral_weight_oracle,
 )
 
 
@@ -170,6 +172,19 @@ def test_cached_factors_reproduce_uncached_transforms_bit_for_bit(n, bounds, kin
                           inverse_mellin_oracle(grid, spec.coefficients))
     assert np.array_equal(apply_m_fast(f).amplitudes, apply_m_fast_oracle(f))
     assert eigen_density_moments(f) == eigen_density_moments_oracle(f)
+
+
+@pytest.mark.parametrize("n", [2, 257, 4096])
+@pytest.mark.parametrize("bounds", [(5e-15, 50.0), WIDE_BOUNDS], ids=["fig1", "wide"])
+def test_spectral_weight_is_re_squared_plus_im_squared_bit_for_bit(n, bounds, rng):
+    grid = make_log_grid(*bounds, n)
+    f = random_smooth_state(grid, rng, sigma_range=(0.1 * grid.span, 0.2 * grid.span))
+    spec = forward_mellin(f)
+    assert np.array_equal(spectral_weight(spec), spectral_weight_oracle(spec))
+    # a spectrum built from strided coefficients weighs the same
+    strided = np.repeat(spec.coefficients, 2, axis=-1)[:, ::2]
+    assert np.array_equal(spectral_weight(MellinSpectrum(grid, spec.channels, strided)),
+                          spectral_weight_oracle(spec))
 
 
 def test_cached_factors_are_read_only():
