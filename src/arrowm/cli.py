@@ -55,7 +55,7 @@ from .mellin import (
     frequency_jacobian,
     frequency_of_eigenvalue,
     inverse_mellin,
-    _moments,
+    _spectrum_moments,
     spectral_weight,
     tukey_window,
     windowed_eigenfunction,
@@ -217,6 +217,8 @@ def write_summary(path: Path, mapping: dict) -> None:
 
 
 def _prepare_outdir(cfg: dict) -> Path:
+    if not cfg["output.dir"]:  # Path("") is the working directory
+        raise ScenarioError("output.dir is empty; name an output directory")
     out = Path(cfg["output.dir"])
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -281,28 +283,22 @@ def eigen_density_frame(state, points: int):
     nu, rho = eigen_density(state, _FRAME_NU_EDGE, span_pos, points)
     m = eigenvalue_of_frequency(nu)
     covered = float(np.trapezoid(np.sum(rho, axis=0) * frequency_jacobian(m), nu))
-    mass, first = _moments(spec.grid, np.fft.ifftshift(spec.coefficients, axes=-1))
+    mass, first = _spectrum_moments(spec)
     below = float(np.sum(weight[spec.frequencies < _FRAME_NU_EDGE]) / mass)
-    return nu, m, rho, covered, float(mass), float(first), below
+    return nu, m, rho, covered, mass, first, below
 
 
 def _position_frame(params: GaussianPacketParams, t: float, points: int):
-    """(x, density, mass, variance) of the packet at t on its center +- 8.5 spreads.
-
-    Raises ValueError, naming t, where any of them overflows (|t| above
-    about 1e153 for the fig1 packet).
-    """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            center = params.p0 / params.eta * t
-            half = 8.5 * position_spread(params, t)
-            x = np.linspace(center - half, center + half, points)
-            dens = position_density(params, x, t)
-            mass = float(np.trapezoid(dens, x))
-            mean = float(np.trapezoid(x * dens, x) / mass)
-            return x, dens, mass, float(np.trapezoid((x - mean) ** 2 * dens, x) / mass)
-    except (OverflowError, FloatingPointError):
-        raise ValueError(f"the position frame at t = {t:g} overflows double precision") from None
+    """(x, density, mass, variance) of the packet at t on its center +- 8.5 spreads."""
+    center = params.p0 / params.eta * t
+    half = 8.5 * position_spread(params, t)
+    if not math.isfinite((center + half) - (center - half)):
+        raise ValueError(f"the position frame at t = {t:g} overflows double precision")
+    x = np.linspace(center - half, center + half, points)
+    dens = position_density(params, x, t)
+    mass = float(np.trapezoid(dens, x))
+    mean = float(np.trapezoid(x * dens, x) / mass)
+    return x, dens, mass, float(np.trapezoid((x - mean) ** 2 * dens, x) / mass)
 
 
 def _write_density_frame(out: Path, stem: str, t: float, nu, m, rho, svg: bool) -> None:

@@ -2,36 +2,31 @@
 
 Evolution is exact multiplication by e^{-i E_i t} (hbar = 1, time in inverse
 energy units), so any time is reachable in a single step.  The phases are
-cos + i sin of -E_i t, computed only on the state's support, the columns from
-the first to the last nonzero amplitude; outside it the evolved amplitudes
-are 0.0.  The expectation of the time-ordering operator along an orbit is
-evaluated with either the direct Cauchy-kernel path or the fast diagonalized
-path, and trajectories record any increase beyond the monotonicity
-tolerance.
+cos + i sin of -E_i t on the state's support, the columns from the first to
+the last nonzero amplitude; outside it the evolved amplitudes are 0.0.
 
-A trajectory follows its orbit on either route through one driver.  It
-finds the state's support once per call, evolves the times in blocks by the
-same helper as :func:`evolve`, and deals the blocks round-robin to threads,
-the calling thread first.  When the times are an arithmetic progression,
-the helper uses the group law U(t_q + r dt) = U(r dt) U(t_q): a block's
-first row is the state times cos + i sin, as in :func:`evolve`, and its
-row r is that evolved row times the step row e^{-i E r dt}, computed once
-per call.  Each route turns a block into two sums per time and reduces the
-whole orbit's sums once:
+<M> along an orbit is evaluated on the fast diagonalized route or the direct
+Cauchy-kernel one, picked once per call by ``_route``: the route's block
+kernel, its worker count and the map from the kernel's two sums per time to
+<M>.  ``_orbit`` finds the state's support once, evolves the times in blocks
+by :func:`evolve`'s helper and deals the blocks round-robin to threads, the
+calling thread first.  On an arithmetic progression it uses the group law
+U(t_q + r dt) = U(r dt) U(t_q): row r of a block is its first row, evolved
+as in :func:`evolve`, times the step row e^{-i E r dt}, computed once per
+call.  A trajectory records any increase beyond the monotonicity tolerance.
 
 - fast: the eigenvalue density's mass and first moment, by the moments
   kernel of :func:`eigen_density_moments`, which squares the block's
-  coefficients in place; on one thread per usable CPU, at most two.  The
-  masses are checked as norms and each value is first / mass.  Every
-  operation after the phases is the per-time one, row by row, so the
-  values equal ``expectation_m(evolve(state, t))`` bit for bit at block
-  starts and at every time off a progression, to within 1e-15 elsewhere,
-  and bit-identical whatever the worker count.
+  coefficients in place, on up to two threads.  The masses are checked as
+  norms and each value is first / mass.  Every operation after the phases
+  is the per-time one, so the values equal ``expectation_m(evolve(state,
+  t))`` bit for bit at block starts and at every time off a progression,
+  to within 1e-15 elsewhere, and whatever the worker count.
 - direct: Re and Im of q = (psi, M psi) by :func:`apply_m_direct` and
   :func:`inner_product`, on the calling thread.  The norm, which U(t)
   preserves, is checked once before an operator is built; every imaginary
   part is held to 1e-10 ||psi||^2 and each value is Re q / ||psi||^2.
-  :func:`expectation_m` is the same block with one row, so the values lie
+  :func:`expectation_m` runs the same kernel on one row, so the values lie
   within 1e-15 of ``expectation_m(evolve(state, t), "direct")``.
 """
 from __future__ import annotations
@@ -167,19 +162,14 @@ def expectation_m(
     rather than be hidden by symmetrization).  A state whose largest
     amplitude lies outside [2^-400, 2^400) is first scaled by a power of two,
     exactly, so its squares neither overflow nor go subnormal.  Raises
-    ValueError on a zero or non-finite norm, on both routes: the fast path
-    reads it off the density's mass, the direct path off the norm it divides
-    by, before building M.
+    ValueError on an unknown path and, as :func:`trajectory`, on a zero or
+    non-finite norm.
     """
-    if path not in PATHS:
-        raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
     state = _in_safe_range(state)
-    if path == "fast":
-        mass, first = eigen_density_moments(state)
-        _check_norm(mass)
-        return first / mass
-    block, nrm2 = _direct_route(state, operator)
-    return float(_direct_values(block(state.amplitudes[None]), nrm2)[0])
+    block, _, values = _route(state, path, operator)
+    sums = (np.reshape(eigen_density_moments(state), (2, 1)) if path == "fast"  # by forward_mellin
+            else block(state.amplitudes[None]))
+    return float(values(sums)[0])
 
 
 def _in_safe_range(state: EnergyState) -> EnergyState:
@@ -195,12 +185,13 @@ def _in_safe_range(state: EnergyState) -> EnergyState:
     return EnergyState(state.grid, state.channels, _readonly(scaled.view(complex)))
 
 
-def _direct_route(state: EnergyState, operator: DenseOperator | None):
-    """The direct block on ``operator`` and ||psi||^2.
-
-    The norm is checked before the operator is built, when none is given;
-    raises ValueError where it is 0 or not finite.
-    """
+def _route(state: EnergyState, path: str, operator: DenseOperator | None):
+    """(block kernel, worker count, map from its sums to <M>) of the route ``path``."""
+    if path == "fast":
+        _grid_factors(state.grid)  # a cache miss computes m(nu) here, on the calling thread
+        return partial(_block_moments, state.grid), _WORKERS, _fast_values
+    if path != "direct":
+        raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
     nrm = state_norm(state)
     try:
         nrm2 = nrm**2
@@ -209,7 +200,14 @@ def _direct_route(state: EnergyState, operator: DenseOperator | None):
     _check_norm(nrm2)
     if operator is None:
         operator = build_dense_m(state.grid)
-    return partial(_direct_block, state, operator), nrm2
+    return partial(_direct_block, state, operator), 1, partial(_direct_values, nrm2=nrm2)
+
+
+def _fast_values(sums: np.ndarray) -> np.ndarray:
+    """first / mass for the fast sums (mass, first); ValueError on a zero or non-finite mass."""
+    mass, first = sums
+    _check_norm(mass)
+    return first / mass
 
 
 def _direct_block(state: EnergyState, operator: DenseOperator, amplitudes: np.ndarray):
@@ -267,10 +265,9 @@ def trajectory(
 
     ``times`` must be finite and strictly increasing; like :func:`evolve`,
     they may be negative, and they are copied.  The state is scaled as in
-    :func:`expectation_m`.  Both paths evolve the times in blocks (see the
-    module notes); the fast path runs them on up to two CPUs.  The direct
-    path checks the norm once and then builds the dense operator, when none
-    is given.
+    :func:`expectation_m`, and the route runs as the module notes say.
+    Raises ValueError on an unknown path and on a zero or non-finite norm,
+    which the direct path checks before it builds an operator.
     """
     t = np.array(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -280,16 +277,8 @@ def trajectory(
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("times must be strictly increasing")
     state = _in_safe_range(state)
-    if path == "fast":
-        _grid_factors(state.grid)  # a cache miss computes m(nu) here, on the calling thread
-        mass, first = _orbit(state, t, partial(_block_moments, state.grid), _WORKERS)
-        _check_norm(mass)
-        values = first / mass
-    elif path == "direct":
-        block, nrm2 = _direct_route(state, operator)
-        values = _direct_values(_orbit(state, t, block, 1), nrm2)
-    else:
-        raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
+    block, workers, values = _route(state, path, operator)
+    values = values(_orbit(state, t, block, workers))
     violations = tuple(
         (float(t[k]), float(t[k + 1]), float(d))
         for k, d in enumerate(np.diff(values))

@@ -19,6 +19,7 @@ momentum, with amplitudes f_pm(E) = (eta / 2E)^{1/4} phi(+-sqrt(2 eta E)).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +70,11 @@ def position_wavefunction(params: GaussianPacketParams, x, t: float) -> np.ndarr
     """psi(x, t) evaluated from the closed form."""
     x = np.asarray(x, dtype=float)
     eta, p0, xi0 = params.eta, params.p0, params.xi0
-    denom = eta + 1j * xi0**2 * t
-    pref = (eta**2 * xi0**2 / (np.pi * denom**2)) ** 0.25
-    return pref * np.exp(-(eta * xi0**2 * x**2 + 1j * p0 * (p0 * t - 2 * eta * x)) / (2 * denom))
+    with _closed_form(t):
+        denom = eta + 1j * xi0**2 * t
+        pref = (eta**2 * xi0**2 / (np.pi * denom**2)) ** 0.25
+        return pref * np.exp(
+            -(eta * xi0**2 * x**2 + 1j * p0 * (p0 * t - 2 * eta * x)) / (2 * denom))
 
 
 def position_density(params: GaussianPacketParams, x, t: float) -> np.ndarray:
@@ -82,7 +85,18 @@ def position_density(params: GaussianPacketParams, x, t: float) -> np.ndarray:
 def position_spread(params: GaussianPacketParams, t: float) -> float:
     """Standard deviation of |psi(x, t)|^2: sqrt((eta^2 + xi0^4 t^2) / 2) / (xi0 eta)."""
     eta, xi0 = params.eta, params.xi0
-    return float(np.sqrt((eta**2 + xi0**4 * t**2) / 2.0) / (xi0 * eta))
+    with _closed_form(t):  # t as a numpy float, whose overflowing product raises too
+        return float(np.sqrt((eta**2 + xi0**4 * np.float64(t)**2) / 2.0) / (xi0 * eta))
+
+
+@contextmanager
+def _closed_form(t: float):
+    """Raise one ValueError, naming t, where the packet's closed form at t overflows."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"the free packet at t = {t:g} overflows double precision") from None
 
 
 def momentum_wavefunction(params: GaussianPacketParams, p) -> np.ndarray:

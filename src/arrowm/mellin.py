@@ -272,9 +272,13 @@ def eigen_density_moments(state: EnergyState) -> tuple[float, float]:
     Evaluated in frequency space through the exact change of variables
     dm = |dm/dnu| dnu, which turns the moments into plain sums over the
     discrete coefficient grid: dnu times the sums of |chat|^2 and of
-    m(nu) |chat|^2, by :func:`_moments` on the coefficients in FFT order.
+    m(nu) |chat|^2, by :func:`_spectrum_moments`.
     """
-    spec = forward_mellin(state)
+    return _spectrum_moments(forward_mellin(state))
+
+
+def _spectrum_moments(spec: MellinSpectrum) -> tuple[float, float]:
+    """:func:`eigen_density_moments` of a spectrum, by :func:`_moments` on an FFT-order copy."""
     mass, first = _moments(spec.grid, np.fft.ifftshift(spec.coefficients, axes=-1))
     return float(mass), float(first)
 

@@ -209,7 +209,8 @@ def dense_spectrum(op: DenseOperator) -> np.ndarray:
     absolute error of about eps ||B||^2 / (2 sigma_k), ||B|| <= 1/2, largest
     at the smallest sigma_k, about 1/(4n).  Raises ValueError, before
     allocating, when B and B^T B (about 4 n^2 bytes) would not fit in the
-    host's physical memory.
+    host's physical memory, and numpy's LinAlgError, a ValueError, where the
+    eigensolve fails.
     """
     n = op.grid.n
     o = n // 2
@@ -226,11 +227,6 @@ def dense_spectrum(op: DenseOperator) -> np.ndarray:
     B = _reversal_block(op)
     np.matmul(B.T, B, out=gram)
     del B
-    try:
-        s = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise RuntimeError(
-            f"eigensolver failed for n={n}, quadrature={op.quadrature!r}: {exc}"
-        ) from exc
+    s = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
     # s ascends and is >= 0, so the three parts join in ascending order
     return np.concatenate((0.5 - s[::-1], np.full(n - 2 * s.size, 0.5), 0.5 + s))

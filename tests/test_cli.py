@@ -571,6 +571,9 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     ("fig1", "state.xi0 = 1e-170\n"),
     ("fig1", "state.xi0 = 1e-160\n"),
     ("fig2", "frames.times = 1e160\n"),
+    # a packet whose center p0 t / eta overflows while its spread does not
+    ("fig2", "grid.e_min = 1e-170\ngrid.e_max = 1e170\nstate.eta = 1e-160\n"
+             "state.p0 = 10\nstate.xi0 = 1\nframes.times = 2e147\n"),
 ])
 def test_main_bad_scenario_exits_two_with_one_line(tmp_path, capsys, sub, text):
     cfg = tmp_path / "bad.cfg"
@@ -580,6 +583,30 @@ def test_main_bad_scenario_exits_two_with_one_line(tmp_path, capsys, sub, text):
     assert rc == 2
     assert err.startswith(f"arrow-m {sub}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_main_failed_eigensolve_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    rc = main(["spectrum", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == "arrow-m spectrum: Eigenvalues did not converge\n"
+
+
+@pytest.mark.parametrize("config", [None, "output.dir =\n"], ids=["out", "config"])
+def test_main_empty_output_dir_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                           config):
+    args = ["--out", ""]
+    if config is not None:
+        (tmp_path / "empty.cfg").write_text(config)
+        args = ["--config", str(tmp_path / "empty.cfg")]
+    monkeypatch.chdir(tmp_path)
+    assert main(["eigden", *args]) == 2
+    err = capsys.readouterr().err
+    assert err == "arrow-m eigden: output.dir is empty; name an output directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["empty.cfg"])
 
 
 def test_main_fig2_at_a_huge_finite_time(tmp_path):

@@ -535,8 +535,11 @@ def test_fast_trajectory_reraises_a_worker_error(monkeypatch, rng):
 
 def test_expectation_unknown_path_raises(rng):
     g = make_log_grid(1e-2, 1e2, 64)
-    with pytest.raises(ValueError):
-        expectation_m(random_smooth_state(g, rng), path="magic")
+    f = random_smooth_state(g, rng)
+    with pytest.raises(ValueError, match="unknown path"):
+        expectation_m(f, path="magic")
+    with pytest.raises(ValueError, match="unknown path"):
+        trajectory(f, [0.0, 1.0], path="magic")
 
 
 def test_trajectory_rejects_bad_time_grids(rng):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import erfc, ndtr
@@ -60,6 +62,26 @@ def test_packet_factor_overflow_raises():
     heavy = GaussianPacketParams(eta=1e10, p0=0.64, xi0=0.3)
     with pytest.raises(ValueError, match="overflows at e_min"):
         to_energy_state(heavy, make_log_grid(1e-300, 50.0, 64))
+
+
+def fig2_frame(t):
+    """The x-range of an ``arrow-m fig2`` frame at t: center +- 8.5 spreads, 2001 points."""
+    center = PARAMS.p0 / PARAMS.eta * t
+    half = 8.5 * position_spread(PARAMS, t)
+    return np.linspace(center - half, center + half, 2001)
+
+
+@pytest.mark.parametrize("t", [1e160, -1e160])
+def test_position_spread_overflow_raises_naming_t(t):
+    with pytest.raises(ValueError, match=re.escape(f"t = {t:g} overflows")):
+        position_spread(PARAMS, t)
+
+
+def test_position_density_overflow_raises_naming_t():
+    dens = position_density(PARAMS, fig2_frame(5e153), 5e153)
+    assert np.all(np.isfinite(dens)) and np.max(dens) > 0.0
+    with pytest.raises(ValueError, match="t = 1e[+]154 overflows"):
+        position_density(PARAMS, fig2_frame(1e154), 1e154)
 
 
 # ---------------------------------------------------------------------------

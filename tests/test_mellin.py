@@ -35,7 +35,7 @@ from arrowm import (
     windowed_eigenfunction,
 )
 from arrowm.grid import CHANNELS
-from arrowm.mellin import _grid_factors
+from arrowm.mellin import _grid_factors, _spectrum_moments
 from conftest import (
     WIDE_BOUNDS,
     apply_m_fast_oracle,
@@ -172,6 +172,10 @@ def test_cached_factors_reproduce_uncached_transforms_bit_for_bit(n, bounds, kin
                           inverse_mellin_oracle(grid, spec.coefficients))
     assert np.array_equal(apply_m_fast(f).amplitudes, apply_m_fast_oracle(f))
     assert eigen_density_moments(f) == eigen_density_moments_oracle(f)
+    # the moments of a spectrum in hand are the same, and leave it as it was
+    coefficients = spec.coefficients.copy()
+    assert _spectrum_moments(spec) == eigen_density_moments(f)
+    assert np.array_equal(spec.coefficients, coefficients)
 
 
 @pytest.mark.parametrize("n", [2, 257, 4096])
