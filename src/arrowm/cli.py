@@ -542,9 +542,9 @@ def _verify_checks():
         worst = max(worst, trajectory(f, np.linspace(0.0, 5.0, 11)).max_increase)
     record("lyapunov_max_increase", worst, MONOTONE_TOL)
 
-    figg = make_log_grid(5e-15, 50.0, 1024)
-    packet = normalize_state(
-        to_energy_state(GaussianPacketParams(1.0, 0.64, 0.3), figg))
+    fig1 = {**load_config("fig1"), "grid.n": 1024}
+    figg = build_scenario_grid(fig1)
+    packet = build_scenario_state(fig1, figg)
     record("packet_norm_error", abs(state_norm(packet) - 1.0), 1e-10)
     traj = trajectory(packet, np.linspace(0.0, 16.0, 41))
     record("fig1_max_increase", traj.max_increase, MONOTONE_TOL)
@@ -558,7 +558,7 @@ def _verify_checks():
     record("backward_time_increase", m_back - m_now, np.inf, ok=m_back > m_now)
     minus_mass = float(np.sum(figg.weights * np.abs(packet.amplitudes[1]) ** 2))
     record("negative_channel_mass_error",
-           abs(minus_mass - 0.5 * math.erfc(0.64 / 0.3)), 1e-4)
+           abs(minus_mass - 0.5 * math.erfc(fig1["state.p0"] / fig1["state.xi0"])), 1e-4)
     return checks
 
 

@@ -193,10 +193,7 @@ def _route(state: EnergyState, path: str, operator: DenseOperator | None):
     if path != "direct":
         raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
     nrm = state_norm(state)
-    try:
-        nrm2 = nrm**2
-    except OverflowError:  # a finite norm whose square is not
-        nrm2 = np.inf
+    nrm2 = nrm * nrm  # inf where the square of a finite norm leaves double range
     _check_norm(nrm2)
     if operator is None:
         operator = build_dense_m(state.grid)

@@ -14,7 +14,8 @@ only:
 
     sqrt(w_i w_j) (i/2 pi) / (E_i - E_j) = d_i d_j (i/2 pi) du / (2 sinh((i - j) du/2)),
 
-with d = (1/sqrt 2, 1, ..., 1, 1/sqrt 2) from the halved endpoint weights.
+with d_i = sqrt(w_i / (E_i du)) read off the grid's weights: 1/sqrt 2 at the
+two endpoints, whose weights the trapezoid halves, and 1 inside.
 So the matrix is D T D + I/2 with T Hermitian Toeplitz: T's first column
 fixes it (its first row is the column's conjugate), and no n x n array is
 ever built.  A state nonzero only on the columns [s0, s0 + L) meets T's
@@ -80,11 +81,9 @@ __all__ = [
 QUADRATURES = ("parity", "subtraction")
 
 
-def _endpoint_scale(n: int) -> np.ndarray:
-    """d = sqrt(w_i / (E_i du)): 1/sqrt(2) at the two endpoints, 1 inside."""
-    d = np.ones(n)
-    d[[0, -1]] = 0.5**0.5
-    return d
+def _endpoint_scale(grid: LogEnergyGrid) -> np.ndarray:
+    """d = sqrt(w_i / (E_i du)) off the grid's weights: 1/sqrt(2) at the halved ends, 1 inside."""
+    return np.sqrt(grid.weights / (grid.points * grid.du))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +112,7 @@ class DenseOperator:
                 f"got {self.quadrature!r} and shape {np.shape(self.column)}"
             )
         s = np.sqrt(self.grid.weights)
-        d = _endpoint_scale(self.grid.n)
+        d = _endpoint_scale(self.grid)
         object.__setattr__(self, "to_t", _readonly(d * s))
         object.__setattr__(self, "from_t", _readonly(d / s))
 
@@ -188,7 +187,7 @@ def _reversal_block(op: DenseOperator) -> np.ndarray:
     n = op.grid.n
     h, o = (n + 1) // 2, n // 2
     r = op.column.imag
-    d = _endpoint_scale(n)
+    d = _endpoint_scale(op.grid)
     # Toeplitz part r[j - k] (with r[-k] = -r[k]) plus Hankel part
     # r[n - 1 - j - k], each a sliding-window view of the column
     toeplitz_part = sliding_window_view(np.concatenate((-r[o - 1:0:-1], r[:h])), o)[:, ::-1]

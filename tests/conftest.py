@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.linalg import toeplitz
 
 from arrowm import CHANNELS, eigenvalue_of_frequency, make_log_grid, make_state, tukey_window
-from arrowm.operator import QUADRATURES, _endpoint_scale, _reversal_block
+from arrowm.operator import QUADRATURES, _reversal_block
 
 # Cross-path comparisons need a wide log window: the fast path wraps the
 # operator output around the grid period, so the Toeplitz/circulant mismatch
@@ -19,6 +19,16 @@ RESIDUAL_N = 2048
 RESIDUAL_FLAT = 15.2
 RESIDUAL_TAPER = 2.5
 RESIDUAL_INTERIOR = 2.3
+
+
+def _endpoint_scale(n):
+    """The operator's d at n points, as a table: 1/sqrt(2) at the two endpoints, 1 inside.
+
+    The oracle for the d the operator reads off the grid's halved end weights.
+    """
+    d = np.ones(n)
+    d[[0, -1]] = 0.5**0.5
+    return d
 
 
 def _circulant_fft(column, row):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,22 @@ def test_direct_path_and_normalize_reject_a_non_finite_norm(scale, rng):
             trajectory(f, [0.0, 1.0], path="direct")
         with pytest.raises(ValueError, match="not finite"):
             normalize_state(f)
+
+
+def test_direct_path_rejects_a_finite_norm_whose_square_overflows():
+    # max|a| = 2^399 lies inside the safe band, so the state is taken as
+    # given; its norm is finite but the direct route's ||psi||^2 reads inf
+    g = make_log_grid(1e-3, 1e300, 64)
+    amps = np.zeros((2, g.n), dtype=complex)
+    amps[0, 32:40] = 2.0**399
+    f = make_state(g, ("+", "-"), amps)
+    assert 8e212 < state_norm(f) < 9e212
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            expectation_m(f, path="direct")
+        with pytest.raises(ValueError, match="not finite"):
+            trajectory(f, [0.0, 1.0], path="direct")
 
 
 def test_expectation_is_invariant_under_scaling():

@@ -28,10 +28,10 @@ from arrowm import (
 )
 from arrowm import operator
 from arrowm.grid import _fft_length, _support
-from arrowm.operator import _endpoint_scale
 
 from conftest import (
     WIDE_BOUNDS,
+    _endpoint_scale,
     cauchy_kernel,
     dense_assembly,
     full_apply_m,
@@ -94,11 +94,19 @@ def test_build_takes_no_fft_and_the_kernel_no_inverse_fft(monkeypatch):
         raise AssertionError("no FFT expected")
 
     g = make_log_grid(1e-2, 1e2, 64)
+    # d off the grid's weights is the table bit for bit on the fig1, wide,
+    # spectrum and eigenfunction windows
+    windows = ((5e-15, 50.0), WIDE_BOUNDS, (1e-3, 1e3), (1e-8, 1e8))
+    grids = [g, *(make_log_grid(*bounds, n) for bounds in windows for n in (2, 3, 257, 4096))]
     with monkeypatch.context() as m:
         m.setattr(np.fft, "fft", refuse)
         m.setattr(np.fft, "ifft", refuse)
-        op = build_dense_m(g)
-    np.testing.assert_array_equal(op.to_t, np.sqrt(g.weights) * _endpoint_scale(g.n))
+        ops = [build_dense_m(grid) for grid in grids]
+    for op in ops:
+        s, d = np.sqrt(op.grid.weights), _endpoint_scale(op.grid.n)
+        np.testing.assert_array_equal(op.to_t, s * d)
+        np.testing.assert_array_equal(op.from_t, d / s)
+    op = ops[0]
     assert not op.to_t.flags.writeable and not op.from_t.flags.writeable
     monkeypatch.setattr(np.fft, "ifft", refuse)
     operator._support_kernel.cache_clear()
