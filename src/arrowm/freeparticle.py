@@ -120,13 +120,14 @@ def packet_tail_mass(params: GaussianPacketParams, e_min: float, e_max: float) -
     """
     p_lo = np.sqrt(2.0 * params.eta * e_min)
     p_hi = np.sqrt(2.0 * params.eta * e_max)
-
-    def mass_below(p):  # integral of |phi|^2 over (-inf, p]; its variance is xi0^2 / 2
-        return 0.5 * math.erfc((params.p0 - p) / params.xi0)
-
-    inner = mass_below(p_lo) - mass_below(-p_lo)
-    outer = 1.0 - (mass_below(p_hi) - mass_below(-p_hi))
+    inner = _mass_below(params, p_lo) - _mass_below(params, -p_lo)
+    outer = 1.0 - (_mass_below(params, p_hi) - _mass_below(params, -p_hi))
     return float(inner + outer)
+
+
+def _mass_below(params: GaussianPacketParams, p: float) -> float:
+    """Integral of |phi|^2 over (-inf, p]; its variance is xi0^2 / 2."""
+    return 0.5 * math.erfc((params.p0 - p) / params.xi0)
 
 
 def to_energy_state(params: GaussianPacketParams, grid: LogEnergyGrid) -> EnergyState:

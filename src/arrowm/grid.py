@@ -47,8 +47,9 @@ class LogEnergyGrid:
 
     Grids compare and hash by (e_min, e_max, n); every array derives from
     these three.  Raises ValueError unless 0 < e_min < e_max < inf, e_min
-    is a normal float (not subnormal), every weight is finite and n is a
-    finite whole number of at least 2; NaN satisfies none of these.
+    is a normal float (not subnormal), every weight is a finite normal float
+    (the smallest, the halved first weight e_min du / 2, included) and n is
+    a finite whole number of at least 2; NaN satisfies none of these.
 
     Attributes
     ----------
@@ -90,6 +91,11 @@ class LogEnergyGrid:
             )
         weights[0] *= 0.5
         weights[-1] *= 0.5
+        if weights[0] < _TINY:
+            raise ValueError(
+                f"grid [{e_min}, {e_max}] with {n} points has a first weight e_min du / 2 = "
+                f"{weights[0]:g} below {_TINY:g}; raise e_min or use fewer points"
+            )
         derived = {
             "e_min": float(e_min), "e_max": float(e_max), "n": n,
             "points": _readonly(points), "log_points": _readonly(u),

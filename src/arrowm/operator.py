@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -116,10 +116,11 @@ class DenseOperator:
         object.__setattr__(self, "to_t", _readonly(d * s))
         object.__setattr__(self, "from_t", _readonly(d / s))
 
-    @property
+    @cached_property
     def circulant_fft(self) -> np.ndarray:
-        """FFT of T's 2n circulant embedding, computed on each access."""
-        return np.fft.fft(np.concatenate((self.column, [0.0], self.column[:0:-1].conj())))
+        """FFT of T's 2n circulant embedding, computed on first access and kept, read-only."""
+        embedding = np.concatenate((self.column, [0.0], self.column[:0:-1].conj()))
+        return _readonly(np.fft.fft(embedding))
 
 
 def build_dense_m(grid: LogEnergyGrid, quadrature: str = "parity") -> DenseOperator:

@@ -23,6 +23,17 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _text(x, y, size, body, before=' text-anchor="middle"', after="") -> str:
+    """A sans-serif ``<text>`` of the escaped ``body``; ``before``/``after`` wrap its font."""
+    return (f'<text x="{x}" y="{y}"{before} font-family="sans-serif" '
+            f'font-size="{size}"{after}>{_escape(body)}</text>')
+
+
+def _line(x1, y1, x2, y2) -> str:
+    """A tick mark from (x1, y1) to (x2, y2)."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#444"/>'
+
+
 def _range(v: np.ndarray) -> tuple:
     """(min, max) of ``v``; [lo, lo + 1] where v is constant, [0, 1] where empty."""
     lo, hi = (float(np.min(v)), float(np.max(v))) if v.size else (0.0, 0.0)
@@ -55,42 +66,20 @@ def write_line_plot(path, x, series: dict, title: str = "", xlabel: str = "", yl
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="#444" stroke-width="1"/>',
     ]
-    title, xlabel, ylabel = _escape(title), _escape(xlabel), _escape(ylabel)
     if title:
-        out.append(
-            f'<text x="{_W // 2}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{title}</text>'
-        )
+        out.append(_text(_W // 2, 18, 13, title))
     for k in range(5):
         xv = x0 + k * (x1 - x0) / 4
         yv = y0 + k * (y1 - y0) / 4
-        out.append(
-            f'<line x1="{_fmt(sx(xv))}" y1="{_MT + ph}" x2="{_fmt(sx(xv))}" '
-            f'y2="{_MT + ph + 4}" stroke="#444"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(sx(xv))}" y="{_MT + ph + 17}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{_fmt(xv)}</text>'
-        )
-        out.append(
-            f'<line x1="{_ML - 4}" y1="{_fmt(sy(yv))}" x2="{_ML}" '
-            f'y2="{_fmt(sy(yv))}" stroke="#444"/>'
-        )
-        out.append(
-            f'<text x="{_ML - 7}" y="{_fmt(sy(yv) + 3)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{_fmt(yv)}</text>'
-        )
+        out.append(_line(_fmt(sx(xv)), _MT + ph, _fmt(sx(xv)), _MT + ph + 4))
+        out.append(_text(_fmt(sx(xv)), _MT + ph + 17, 10, _fmt(xv)))
+        out.append(_line(_ML - 4, _fmt(sy(yv)), _ML, _fmt(sy(yv))))
+        out.append(_text(_ML - 7, _fmt(sy(yv) + 3), 10, _fmt(yv), ' text-anchor="end"'))
     if xlabel:
-        out.append(
-            f'<text x="{_W // 2}" y="{_H - 8}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{xlabel}</text>'
-        )
+        out.append(_text(_W // 2, _H - 8, 11, xlabel))
     if ylabel:
-        out.append(
-            f'<text x="14" y="{_MT + ph // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" '
-            f'transform="rotate(-90 14 {_MT + ph // 2})">{ylabel}</text>'
-        )
+        out.append(_text(14, _MT + ph // 2, 11, ylabel,
+                         after=f' transform="rotate(-90 14 {_MT + ph // 2})"'))
     # sx and sy act elementwise in the scalar operation order, so each point
     # equals sx(x[i]), sy(y[i]) bit for bit, as the tick marks compute them
     px = sx(x)
@@ -98,14 +87,9 @@ def write_line_plot(path, x, series: dict, title: str = "", xlabel: str = "", yl
     for idx, (label, y) in enumerate(ys.items()):
         pts = point_fmt % tuple(np.stack([px, sy(y)], axis=1).ravel().tolist())
         color = _COLORS[idx % len(_COLORS)]
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         if len(ys) > 1:
-            out.append(
-                f'<text x="{_ML + 8}" y="{_MT + 14 + 13 * idx}" fill="{color}" '
-                f'font-family="sans-serif" font-size="11">{_escape(label)}</text>'
-            )
+            out.append(_text(_ML + 8, _MT + 14 + 13 * idx, 11, label, f' fill="{color}"'))
     out.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")

@@ -342,6 +342,19 @@ def test_spectrum_scenario(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_spectrum_run_takes_one_circulant_fft(tmp_path, monkeypatch):
+    # the Hermiticity residual and the Szego symbol read the same kept FFT
+    sizes, fft = [], np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    run_scenario("spectrum", cfg_for("spectrum", tmp_path, extra={"grid.n": 128}))
+    assert sizes == [256]
+
+
 def test_spectrum_scenario_accepts_odd_grid(tmp_path):
     # spectrum never runs the fast path, so its grid need not be a power of two
     cfg = cfg_for("spectrum", tmp_path, extra={"grid.n": 257})

@@ -307,6 +307,18 @@ def test_direct_trajectory_equals_per_time_expectations(n):
         assert np.max(np.abs(values - expected)) <= 1e-15
 
 
+def test_direct_trajectory_in_one_time_blocks_equals_per_time_expectations():
+    # at n = 24576 with two channels a block holds one time, so a progression
+    # has no step rows and every time takes cos + i sin, as in evolve
+    packet = fig_packet(24576, WIDE_BOUNDS)
+    op = build_dense_m(packet.grid)
+    times = np.linspace(0.0, 32.0, 41)
+    assert dynamics._block_size(packet) == 1
+    assert dynamics._progression_steps(packet, times, 1, dynamics._support(packet)) is None
+    expected = [expectation_m(evolve(packet, t), "direct", op) for t in times]
+    assert np.array_equal(trajectory(packet, times, path="direct", operator=op).values, expected)
+
+
 def test_trajectory_zero_state_raises():
     g = make_log_grid(1e-2, 1e2, 64)
     for path in ("fast", "direct"):
@@ -339,7 +351,7 @@ def test_trajectory_is_expectation_along_the_orbit(rng):
 
 @pytest.mark.parametrize("workers", [None, 1, 3])
 @pytest.mark.parametrize("kind", ["fig1_4096", "wide_packet_4096", "random_257",
-                                  "whole_line_4096"])
+                                  "whole_line_4096", "wide_packet_24576"])
 def test_fast_trajectory_blocks_equal_per_time_expectations(kind, workers, monkeypatch):
     # evenly spaced times: a block's first row takes cos + i sin as evolve
     # does, bit for bit, and its row r the group law U(t_q) U(r dt), within
@@ -353,6 +365,8 @@ def test_fast_trajectory_blocks_equal_per_time_expectations(kind, workers, monke
     elif kind == "random_257":
         rng = np.random.default_rng(257)
         state, t_end = random_smooth_state(make_log_grid(1e-3, 1e3, 257), rng), 5.0
+    elif kind == "wide_packet_24576":
+        state, t_end = fig_packet(24576, WIDE_BOUNDS), 32.0  # blocks of one time
     else:
         state, t_start, t_end = fig_packet(4096, WIDE_BOUNDS), -32.0, 32.0
     if workers is not None:

@@ -74,7 +74,9 @@ def test_quadrature_convergence_order():
     "args",
     [(0.0, 1.0, 8), (-1.0, 1.0, 8), (1.0, 1.0, 8), (2.0, 1.0, 8), (1.0, 2.0, 1), (1.0, 2.0, 2.5),
      (1e-3, np.inf, 8), (np.nan, 1.0, 8), (1.0, np.nan, 8), (1.0, 2.0, np.inf),
-     (1.0, 2.0, np.nan), (1e-320, 1.0, 8), (1e-300, 1e308, 64), (1e-3, 1.7e308, 64)],
+     (1.0, 2.0, np.nan), (1e-320, 1.0, 8), (1e-300, 1e308, 64), (1e-3, 1.7e308, 64),
+     # a subnormal first weight e_min du / 2 (every weight is 0.0 on the first grid)
+     (2.3e-308, 2.3e-308 * (1 + 1e-13), 10000), (2.3e-308, 1.0, 1024), (2.3e-308, 1.0, 4096)],
 )
 def test_make_log_grid_domain_errors(args):
     with pytest.raises(ValueError):

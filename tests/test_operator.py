@@ -129,6 +129,12 @@ def test_operator_checks_its_quadrature_and_column_length():
             DenseOperator(op.grid, op.quadrature, column)
 
 
+def test_circulant_fft_is_taken_once_and_kept_read_only():
+    op = build_dense_m(make_log_grid(1e-3, 1e3, 64))
+    first = op.circulant_fft
+    assert op.circulant_fft is first and not first.flags.writeable
+
+
 def test_apply_zero_state_is_zero(monkeypatch):
     g = make_log_grid(1e-2, 1e2, 64)
     op = build_dense_m(g)
