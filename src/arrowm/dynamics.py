@@ -7,21 +7,26 @@ the last nonzero amplitude; outside it the evolved amplitudes are 0.0.
 
 <M> along an orbit is evaluated on the fast diagonalized route or the direct
 Cauchy-kernel one, picked once per call by ``_route``: the route's block
-kernel, its worker count and the map from the kernel's two sums per time to
-<M>.  ``_orbit`` finds the state's support once, evolves the times in blocks
-by :func:`evolve`'s helper and deals the blocks round-robin to threads, the
-calling thread first.  On an arithmetic progression it uses the group law
-U(t_q + r dt) = U(r dt) U(t_q): row r of a block is its first row, evolved
-as in :func:`evolve`, times the step row e^{-i E r dt}, computed once per
-call.  A trajectory records any increase beyond the monotonicity tolerance.
+kernel, its worker count, the map from the kernel's two sums per time to <M>
+and the real row scale the kernel expects in each evolved row, if any.
+``_orbit`` finds the state's support once, evolves the times in blocks by
+:func:`evolve`'s helper, and runs the blocks on threads, the calling thread
+among them; each thread claims the next block whenever it is idle.  On an
+arithmetic progression it uses the group law U(t_q + r dt) = U(r dt) U(t_q):
+row r of a block is its first row, evolved as in :func:`evolve`, times the
+step row e^{-i E r dt}, computed once per call.  A trajectory records any
+increase beyond the monotonicity tolerance.
 
 - fast: the eigenvalue density's mass and first moment, by the moments
   kernel of :func:`eigen_density_moments`, which squares the block's
-  coefficients in place, on up to two threads.  The masses are checked as
-  norms and each value is first / mass.  Every operation after the phases
-  is the per-time one, so the values equal ``expectation_m(evolve(state,
-  t))`` bit for bit at block starts and at every time off a progression,
-  to within 1e-15 elsewhere, and whatever the worker count.
+  transform in place, on up to two threads.  The grid's constants of the
+  transform, c_i = (2 pi)^{-1/2} du e^{u_i/2}, ride in the phase rows that
+  take cos + i sin, so the kernel takes only the inverse FFT; the forward
+  prefactor's phase drops out of |chat|^2.  The masses are checked as norms
+  and each value is first / mass.  The values lie within 1e-15 of
+  ``expectation_m(evolve(state, t))``; a block start equals the same time
+  off a progression bit for bit, and every value is the same whatever the
+  worker count.
 - direct: Re and Im of q = (psi, M psi) by :func:`apply_m_direct` and
   :func:`inner_product`, on the calling thread.  The norm, which U(t)
   preserves, is checked once before an operator is built; every imaginary
@@ -42,7 +47,7 @@ from .grid import (
     EnergyState, _check_norm, _peak_exponent, _readonly, _support, inner_product, make_state,
     state_norm,
 )
-from .mellin import _block_moments, _grid_factors, eigen_density_moments
+from .mellin import _block_moments, _row_scale, eigen_density_moments
 from .operator import DenseOperator, apply_m_direct, build_dense_m
 
 __all__ = ["Trajectory", "evolve", "expectation_m", "trajectory", "MONOTONE_TOL"]
@@ -95,19 +100,24 @@ def evolve(state: EnergyState, t: float) -> EnergyState:
 
 
 def _evolved(state: EnergyState, t: np.ndarray, support: slice,
-             steps: np.ndarray | None = None) -> np.ndarray:
-    """The amplitudes times e^{-i E t} at each of the times t: (t.size, channels, n).
+             steps: np.ndarray | None = None, scale: np.ndarray | None = None) -> np.ndarray:
+    """The amplitudes times scale e^{-i E t} at each of the times t: (t.size, channels, n).
 
     The phases are cos + i sin of -E t on ``support`` only; the columns
     outside it are 0.0.  There the amplitudes are zero, and the phases of
     large E t would cost a slow range reduction each.  With ``steps``, the
     rows e^{-i E r dt} of :func:`_progression_steps`, only row 0 takes
     cos + i sin, and row r is row 0 times ``steps[r - 1]``: the group law
-    U(t_0 + r dt) = U(r dt) U(t_0).
+    U(t_0 + r dt) = U(r dt) U(t_0).  ``scale``, a real array over the grid,
+    multiplies the rows that take cos + i sin, before they meet the
+    amplitudes, so the later rows inherit it; without it the rows are the
+    plain evolved amplitudes of :func:`evolve`.
     """
     energies = state.grid.points[support]
     first = t.size if steps is None else 1  # the rows that take cos + i sin
     phases = _phases(t[:first], energies, np.empty((first, energies.size), dtype=complex))
+    if scale is not None:
+        np.multiply(phases, scale[support], out=phases)
     out = np.empty((t.size, *state.amplitudes.shape), dtype=complex)
     np.multiply(state.amplitudes[:, support], phases[:, None, :], out=out[:first, :, support])
     if steps is not None:
@@ -166,7 +176,7 @@ def expectation_m(
     non-finite norm.
     """
     state = _in_safe_range(state)
-    block, _, values = _route(state, path, operator)
+    block, _, values, _ = _route(state, path, operator)
     sums = (np.reshape(eigen_density_moments(state), (2, 1)) if path == "fast"  # by forward_mellin
             else block(state.amplitudes[None]))
     return float(values(sums)[0])
@@ -186,10 +196,14 @@ def _in_safe_range(state: EnergyState) -> EnergyState:
 
 
 def _route(state: EnergyState, path: str, operator: DenseOperator | None):
-    """(block kernel, worker count, map from its sums to <M>) of the route ``path``."""
+    """(block kernel, worker count, map from its sums to <M>, row scale) of the route ``path``.
+
+    The row scale is the real array that :func:`_evolved` multiplies into
+    the rows a trajectory's kernel reads, or None.
+    """
     if path == "fast":
-        _grid_factors(state.grid)  # a cache miss computes m(nu) here, on the calling thread
-        return partial(_block_moments, state.grid), _WORKERS, _fast_values
+        scale = _row_scale(state.grid)  # a cache miss computes m(nu) here, on the calling thread
+        return partial(_block_moments, state.grid), _WORKERS, _fast_values, scale
     if path != "direct":
         raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
     nrm = state_norm(state)
@@ -197,7 +211,7 @@ def _route(state: EnergyState, path: str, operator: DenseOperator | None):
     _check_norm(nrm2)
     if operator is None:
         operator = build_dense_m(state.grid)
-    return partial(_direct_block, state, operator), 1, partial(_direct_values, nrm2=nrm2)
+    return partial(_direct_block, state, operator), 1, partial(_direct_values, nrm2=nrm2), None
 
 
 def _fast_values(sums: np.ndarray) -> np.ndarray:
@@ -274,8 +288,8 @@ def trajectory(
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("times must be strictly increasing")
     state = _in_safe_range(state)
-    block, workers, values = _route(state, path, operator)
-    values = values(_orbit(state, t, block, workers))
+    block, workers, values, scale = _route(state, path, operator)
+    values = values(_orbit(state, t, block, workers, scale))
     violations = tuple(
         (float(t[k]), float(t[k + 1]), float(d))
         for k, d in enumerate(np.diff(values))
@@ -291,53 +305,61 @@ def _block_size(state: EnergyState) -> int:
     return max(1, _BLOCK_BYTES // (16 * channels * n))
 
 
-def _orbit(state: EnergyState, t: np.ndarray, block_sums, workers: int) -> np.ndarray:
+def _orbit(state: EnergyState, t: np.ndarray, block_sums, workers: int,
+           scale: np.ndarray | None) -> np.ndarray:
     """A route's two sums at every time of ``t``: shape (2, t.size).
 
-    The times go in blocks of b, each evolved as one (b, channels, n) array
-    by :func:`evolve`'s own helper on the support found once per call, with
-    the step rows of :func:`_progression_steps` when ``t`` is a progression.
-    ``block_sums`` maps that array, which it may overwrite, to two arrays of
-    shape (b,).  The blocks are dealt round-robin to min(``workers``,
-    blocks) threads; numpy's ufuncs and FFTs release the GIL on arrays this
-    size, so the threads run in parallel.  A ``block_sums`` run on more than
-    one thread must call no public function of the package: a tracer that
-    wraps those keeps one span stack per process.
+    The times go in blocks of b, each evolved as one (b, channels, n) array,
+    its phase rows times ``scale``, by :func:`evolve`'s own helper on the
+    support found once per call, with the step rows of
+    :func:`_progression_steps` when ``t`` is a progression.  ``block_sums``
+    maps that array, which it may overwrite, to two arrays of shape (b,).
+    min(``workers``, blocks) threads share one iterator of block starts, and
+    each takes the next block from it whenever it is idle, so a slow thread
+    holds up no other.  The blocks are the same whichever thread takes
+    them, so the sums are too.  numpy's ufuncs and FFTs release the GIL on
+    arrays this size, so the threads run in parallel.  A ``block_sums`` run
+    on more than one thread must call no public function of the package: a
+    tracer that wraps those keeps one span stack per process.
     """
     block = _block_size(state)
     starts = range(0, t.size, block)
-    workers = min(workers, len(starts))
+    claims, claiming = iter(starts), threading.Lock()
     sums = np.empty((2, t.size))
     support = _support(state)
     steps = _progression_steps(state, t, block, support)
 
-    def work(w: int) -> None:
-        for k in starts[w::workers]:
+    def work() -> None:
+        while True:
+            with claiming:
+                k = next(claims, None)
+            if k is None:
+                return
             s = slice(k, k + block)
-            sums[:, s] = block_sums(_evolved(state, t[s], support, steps))
+            sums[:, s] = block_sums(_evolved(state, t[s], support, steps, scale))
 
-    _on_threads(work, workers)
+    _on_threads(work, min(workers, len(starts)))
     return sums
 
 
 def _on_threads(work, count: int) -> None:
-    """Run work(0), ..., work(count - 1) at once, work(0) on the calling thread.
+    """Run ``work`` on ``count`` threads at once, the calling thread among them.
 
-    Waits for every worker, then re-raises the first error.
+    Waits for every thread, then re-raises the first error.
     """
     errors = []
 
-    def guarded(w):
+    def guarded():
         try:
-            work(w)
+            work()
         except BaseException as exc:  # re-raised on the calling thread below
             errors.append(exc)
 
-    threads = [threading.Thread(target=guarded, args=(w,)) for w in range(1, count)]
+    threads = [threading.Thread(target=guarded) for _ in range(1, count)]
     for thread in threads:
         thread.start()
     try:
-        work(0)
+        work()
     finally:
         for thread in threads:
             thread.join()

@@ -126,6 +126,16 @@ def _forward(grid: LogEnergyGrid, nu: np.ndarray) -> np.ndarray:
     return (2.0 * np.pi) ** -0.5 * grid.du * np.exp(1j * nu * grid.log_points[0])
 
 
+def _row_scale(grid: LogEnergyGrid) -> np.ndarray:
+    """c_i = (2 pi)^{-1/2} du e^{u_i/2}, the real factors that :func:`_block_moments` expects.
+
+    The constant is the forward prefactor at nu = 0, the first frequency in
+    FFT order, where it is real: (2 pi)^{-1/2} du times 1 + 0j, exactly.
+    """
+    factors = _grid_factors(grid)
+    return factors.forward[0].real * factors.half
+
+
 def _squared_modulus(chat: np.ndarray) -> np.ndarray:
     """|chat|^2 as re^2 + im^2, read from the float view of the (contiguous) coefficients."""
     parts = np.ascontiguousarray(chat).view(float)
@@ -178,9 +188,9 @@ def forward_mellin(state: EnergyState) -> MellinSpectrum:
     )
 
 
-def _coefficients(factors: _GridFactors, amplitudes: np.ndarray, out=None) -> np.ndarray:
-    """chat over the last axis of ``amplitudes``, in FFT order; ``out`` may be ``amplitudes``."""
-    chat = np.multiply(factors.half, amplitudes, out=out)
+def _coefficients(factors: _GridFactors, amplitudes: np.ndarray) -> np.ndarray:
+    """chat over the last axis of ``amplitudes``, in FFT order."""
+    chat = np.multiply(factors.half, amplitudes)
     np.fft.ifft(chat, axis=-1, norm="forward", out=chat)
     return np.multiply(factors.forward, chat, out=chat)
 
@@ -284,28 +294,32 @@ def _spectrum_moments(spec: MellinSpectrum) -> tuple[float, float]:
 
 
 def _block_moments(grid: LogEnergyGrid, amplitudes: np.ndarray):
-    """:func:`eigen_density_moments` of a block of states: (mass, first), each of shape (b,).
+    """:func:`eigen_density_moments` of a block of scaled states: (mass, first), each (b,).
 
-    Each row goes through the helper of :func:`forward_mellin` and through
-    :func:`_moments`, so it equals :func:`eigen_density_moments` bit for
-    bit.  ``amplitudes`` (complex, shape (b, channels, n)) is overwritten,
-    first by the coefficients and then by their squares.
+    Each row must already carry the real factors c = :func:`_row_scale`.
+    The forward prefactor differs from c's constant (2 pi)^{-1/2} du only by
+    a phase, which |chat|^2 does not see, so the rows need only the
+    in-place inverse FFT before :func:`_moments`: the sums have the
+    magnitudes of :func:`eigen_density_moments` and agree with it to
+    within rounding.  ``amplitudes`` (complex, shape (b, channels, n)) is
+    overwritten, first by the transform and then by its squares.
     """
-    return _moments(grid, _coefficients(_grid_factors(grid), amplitudes, out=amplitudes))
+    return _moments(grid, np.fft.ifft(amplitudes, axis=-1, norm="forward", out=amplitudes))
 
 
 def _moments(grid: LogEnergyGrid, chat: np.ndarray):
     """(mass, first): dnu times the sums of |chat|^2 and of m(nu) |chat|^2 per state.
 
     ``chat`` holds C-contiguous FFT-order coefficients of shape
-    (..., channels, n) and is overwritten.  Its float view is squared in
-    place (re^2 + im^2, with no square root), summed over each state's
-    channels and points, multiplied in place by m(nu) repeated for
-    (Re, Im), and summed again.  Only elementwise ops and np.sum over the
-    last axis keep each state's sums independent of the other rows of a
-    block: a matrix-vector product with m (BLAS dgemv) or np.einsum on a
-    block gave rows that differ from a one-row call, so the sums stay
-    np.sum.
+    (..., channels, n), or any array with their moduli, such as the
+    phase-free transform of :func:`_block_moments`, and is overwritten.
+    Its float view is squared in place (re^2 + im^2, with no square root),
+    summed over each state's channels and points, multiplied in place by
+    m(nu) repeated for (Re, Im), and summed again.  Only elementwise ops
+    and np.sum over the last axis keep each state's sums independent of
+    the other rows of a block: a matrix-vector product with m (BLAS dgemv)
+    or np.einsum on a block gave rows that differ from a one-row call, so
+    the sums stay np.sum.
     """
     squares = chat.view(float)  # (..., channels, 2n)
     per_state = squares.reshape(*squares.shape[:-2], -1)  # a view of the same memory

@@ -231,19 +231,23 @@ def test_expectation_of_a_tiny_or_huge_state(scale):
 def test_states_inside_the_safe_band_are_taken_as_given(rng):
     # ordinary states take no new path, so their values stay bit-identical.
     # Scaled by 2^k so that max|a| lies in [2^(k-1), 2^k), at the band's two
-    # end binades (k = -399 and 400) and inside it, the fast <M> equals the
-    # unscaled value exactly: its sums of re^2 + im^2 neither overflow nor go
-    # subnormal (0.0 measured for 4 seeds on these 9 grids)
+    # end binades (k = -399 and 400) and inside it, the fast <M> and the
+    # fast trajectory, whose rows carry the transform's constants, equal the
+    # unscaled values exactly: their sums of re^2 + im^2 neither overflow
+    # nor go subnormal (0.0 measured for 4 seeds on these 9 grids)
+    times = np.linspace(0.0, 2.0, 9)
     for bounds in ((1e-3, 1e3), WIDE_BOUNDS, (5e-15, 50.0)):
         for n in (64, 257, 4096):
             g = make_log_grid(*bounds, n)
             f = random_smooth_state(g, rng)
             floats = f.amplitudes.view(float)
             peak = math.frexp(np.max(np.abs(f.amplitudes)))[1]
+            orbit = trajectory(f, times).values
             for k in (_SAFE_EXPONENTS[0], 0, 1, _SAFE_EXPONENTS[1]):
                 inside = make_state(g, f.channels, np.ldexp(floats, k - peak).view(complex))
                 assert dynamics._in_safe_range(inside) is inside
                 assert expectation_m(inside) == expectation_m(f), (bounds, n, k)
+                assert np.array_equal(trajectory(inside, times).values, orbit), (bounds, n, k)
             far = make_state(g, f.channels, np.ldexp(floats, _SAFE_EXPONENTS[0] - 2 - peak)
                              .view(complex))
             assert 0.5 <= np.max(np.abs(dynamics._in_safe_range(far).amplitudes)) < 1.0
@@ -343,10 +347,12 @@ def test_trajectory_builds_grid_factors_once(monkeypatch, rng):
 
 
 def test_trajectory_is_expectation_along_the_orbit(rng):
+    # the orbit's rows carry the transform's constants and take no forward
+    # prefactor, so they lie within rounding of the per-time values
     f = random_smooth_state(make_log_grid(1e-3, 1e3, 256), rng)
     times = np.linspace(0.0, 5.0, 20)
     expected = [expectation_m(evolve(f, t)) for t in times]
-    assert np.array_equal(trajectory(f, times).values, expected)
+    assert np.max(np.abs(trajectory(f, times).values - expected)) <= 1e-15
 
 
 @pytest.mark.parametrize("workers", [None, 1, 3])
@@ -354,9 +360,11 @@ def test_trajectory_is_expectation_along_the_orbit(rng):
                                   "whole_line_4096", "wide_packet_24576"])
 def test_fast_trajectory_blocks_equal_per_time_expectations(kind, workers, monkeypatch):
     # evenly spaced times: a block's first row takes cos + i sin as evolve
-    # does, bit for bit, and its row r the group law U(t_q) U(r dt), within
-    # 1e-15 (4.4e-16 measured); moving one time off the progression falls
-    # back to cos + i sin on every row, bit for bit
+    # does, and its row r the group law U(t_q) U(r dt); moving one time off
+    # the progression falls back to cos + i sin on every row.  Every row
+    # carries the transform's constants, so all lie within 1e-15 of the
+    # per-time values (4.4e-16 measured), and exactly the same at any
+    # worker count
     t_start = 0.0
     if kind == "fig1_4096":
         state, t_end = fig_packet(4096), 32.0
@@ -377,14 +385,15 @@ def test_fast_trajectory_blocks_equal_per_time_expectations(kind, workers, monke
         times = np.linspace(t_start, t_end, count)
         expected = np.array([expectation_m(evolve(state, t)) for t in times])
         values = trajectory(state, times).values
-        assert np.array_equal(values[::b], expected[::b]), count
+        assert np.max(np.abs(values[::b] - expected[::b])) <= 1e-15, count
         assert np.max(np.abs(values - expected)) <= 1e-15, count
         if count > 2:
             k = count // 2
             moved, moved_expected = times.copy(), expected.copy()
             moved[k] += 1e-9 * (times[1] - times[0])
             moved_expected[k] = expectation_m(evolve(state, moved[k]))
-            assert np.array_equal(trajectory(state, moved).values, moved_expected), count
+            diff = trajectory(state, moved).values - moved_expected
+            assert np.max(np.abs(diff)) <= 1e-15, count
         for w in (1, 2, 3):
             monkeypatch.setattr(dynamics, "_WORKERS", w)
             assert np.array_equal(trajectory(state, times).values, values), (count, w)
@@ -410,10 +419,28 @@ def test_fast_trajectory_follows_the_group_law_on_progressions():
         assert dynamics._progression_steps(f, times, b, dynamics._support(f)) is not None
         expected = np.array([expectation_m(evolve(f, t)) for t in times])
         values = trajectory(f, times).values
-        assert np.array_equal(values[::b], expected[::b])
+        assert np.max(np.abs(values[::b] - expected[::b])) <= 1e-15
         assert np.max(np.abs(values - expected)) <= 1e-15
 
     check()
+
+
+@pytest.mark.parametrize("bounds", [(5e-15, 50.0), WIDE_BOUNDS], ids=["fig1", "wide"])
+def test_fast_progression_block_starts_equal_the_times_off_a_progression(bounds, monkeypatch):
+    # the group law's anchor: a block's first row takes cos + i sin times
+    # the row scale, as every row does off a progression, so the two agree
+    # bit for bit there
+    state = fig_packet(4096, bounds)
+    b = dynamics._block_size(state)
+    for count in (b + 1, 4 * b + 3, 200):
+        times = np.linspace(0.0, 32.0, count)
+        assert dynamics._progression_steps(state, times, b, dynamics._support(state)) is not None
+        on = trajectory(state, times).values
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_progression_steps", lambda *args: None)
+            off = trajectory(state, times).values
+        assert np.array_equal(on[::b], off[::b]), count
+        assert np.max(np.abs(on - off)) <= 1e-15, count
 
 
 def test_fast_trajectory_workspace_is_bounded(monkeypatch):
@@ -455,6 +482,25 @@ def _recorded(fn, seen):
     return wrapper
 
 
+def _first_calls_meet(kernel, workers):
+    """``kernel``, with each thread's first call waiting until every worker has made one.
+
+    Blocks go to whichever worker is idle, so without this one worker could
+    take every block; with it each worker holds a block before any takes a
+    second.
+    """
+    barrier = threading.Barrier(workers, timeout=60)
+    waited = set()
+
+    def wrapper(*args):
+        thread = threading.current_thread()
+        if thread not in waited:
+            waited.add(thread)
+            barrier.wait()
+        return kernel(*args)
+    return wrapper
+
+
 def _record_public_calls(monkeypatch, callers):
     """Wrap every public function, wherever the package binds it, as a tracer does."""
     modules = [arrowm.grid, arrowm.dynamics, arrowm.mellin, arrowm.operator,
@@ -474,8 +520,8 @@ def test_fast_trajectory_workers_call_no_public_function(monkeypatch, rng):
     main = threading.main_thread()
     callers, block_threads = set(), set()
     _record_public_calls(monkeypatch, callers)
-    monkeypatch.setattr(dynamics, "_block_moments",
-                        _recorded(dynamics._block_moments, block_threads))
+    monkeypatch.setattr(dynamics, "_block_moments", _first_calls_meet(
+        _recorded(dynamics._block_moments, block_threads), 3))
     _grid_factors.cache_clear()
     f = random_smooth_state(make_log_grid(1e-3, 1e3, 256), rng)
     arrowm.trajectory(f, np.linspace(0.0, 5.0, 400))
@@ -558,7 +604,7 @@ def test_fast_trajectory_reraises_a_worker_error(monkeypatch, rng):
             raise FloatingPointError("worker failed")
         return block(grid, amplitudes)
 
-    monkeypatch.setattr(dynamics, "_block_moments", failing)
+    monkeypatch.setattr(dynamics, "_block_moments", _first_calls_meet(failing, 3))
     f = random_smooth_state(make_log_grid(1e-3, 1e3, 4096), rng)
     with pytest.raises(FloatingPointError, match="worker failed"):
         trajectory(f, np.linspace(0.0, 5.0, 50))
