@@ -4,6 +4,10 @@ Evolution is exact multiplication by e^{-i E_i t} (hbar = 1, time in inverse
 energy units), so any time is reachable in a single step.  The phases are
 cos + i sin of -E_i t on the state's support, the columns from the first to
 the last nonzero amplitude; outside it the evolved amplitudes are 0.0.
+:func:`evolve` and :func:`trajectory` refuse, before any phase is formed, a
+time at which more than 1e-8 of the state's weighted mass lies where
+E |t| >= 2^52: there neighbouring doubles of E t lie 1 rad apart or more,
+so the phases keep no digit.
 
 <M> along an orbit is evaluated on the fast diagonalized route or the direct
 Cauchy-kernel one, picked once per call by ``_route``: the route's block
@@ -19,10 +23,10 @@ increase beyond the monotonicity tolerance.
 
 - fast: the eigenvalue density's mass and first moment, by the moments
   kernel of :func:`eigen_density_moments`, which squares the block's
-  transform in place, on up to two threads.  The grid's constants of the
-  transform, c_i = (2 pi)^{-1/2} du e^{u_i/2}, ride in the phase rows that
-  take cos + i sin, so the kernel takes only the inverse FFT; the forward
-  prefactor's phase drops out of |chat|^2.  The masses are checked as norms
+  transform in place, on up to two threads.  The transform table's scale
+  c_i = (2 pi)^{-1/2} du e^{u_i/2} rides in the phase rows that take
+  cos + i sin, so the kernel takes only the inverse FFT; the table's phase
+  drops out of |chat|^2.  The masses are checked as norms
   and each value is first / mass.  The values lie within 1e-15 of
   ``expectation_m(evolve(state, t))``; a block start equals the same time
   off a progression bit for bit, and every value is the same whatever the
@@ -44,10 +48,10 @@ from functools import partial
 import numpy as np
 
 from .grid import (
-    EnergyState, _check_norm, _peak_exponent, _readonly, _support, inner_product, make_state,
-    state_norm,
+    EnergyState, _check_norm, _peak_exponent, _readonly, _support, _weighted_squares,
+    inner_product, make_state, state_norm,
 )
-from .mellin import _block_moments, _row_scale, eigen_density_moments
+from .mellin import _block_moments, _grid_factors, eigen_density_moments
 from .operator import DenseOperator, apply_m_direct, build_dense_m
 
 __all__ = ["Trajectory", "evolve", "expectation_m", "trajectory", "MONOTONE_TOL"]
@@ -85,18 +89,45 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # state is first scaled to max|a| in [1/2, 1).  The band is [2^-400, 2^400),
 # where max|a| has frexp exponents -399 to 400.
 _SAFE_EXPONENTS = (-399, 400)
+# The phase-digit rule of the module notes: E |t| from which e^{-iEt} keeps
+# no digit, and the share of the weighted mass allowed there.  It weighs
+# mass, not support: the fig1 packet's share reads 0 at every t <= 1e13 and
+# 1 at 1e100, and random_smooth_state on the wide window, nonzero up to
+# E = 2.3e16, holds 6e-105 of its mass there at t = 1e7.
+_PHASE_DIGITS_LOST = 2.0**52
+_LOST_PHASE_SHARE = 1e-8
 
 
 def evolve(state: EnergyState, t: float) -> EnergyState:
     """Propagate by time t: amplitudes times e^{-i E t}.  Norm preserving.
 
-    Raises ValueError on a non-finite t.
+    Raises ValueError on a non-finite t and, as the module notes say, on a
+    t at which the phases keep no digit.
     """
     t = float(t)
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
+    _check_phase_digits(state, t)
     return make_state(state.grid, state.channels,
                       _evolved(state, np.array([t]), _support(state))[0])
+
+
+def _check_phase_digits(state: EnergyState, t: float) -> None:
+    """Raise ValueError where over 1e-8 of the state's mass lies at E |t| >= 2^52.
+
+    The masses are the weighted squares of :func:`state_norm`'s scaled
+    moduli, so they cannot overflow.
+    """
+    if t == 0.0:
+        return
+    squares, _ = _weighted_squares(state)
+    lost = np.sum(squares[:, state.grid.points >= _PHASE_DIGITS_LOST / abs(t)])
+    total = np.sum(squares)
+    if lost > _LOST_PHASE_SHARE * total:
+        raise ValueError(
+            f"at t = {t:g} the phases E t keep no digit (E |t| >= 2^52) on {lost / total:.3g} "
+            f"of the state's mass; use shorter times"
+        )
 
 
 def _evolved(state: EnergyState, t: np.ndarray, support: slice,
@@ -202,7 +233,8 @@ def _route(state: EnergyState, path: str, operator: DenseOperator | None):
     the rows a trajectory's kernel reads, or None.
     """
     if path == "fast":
-        scale = _row_scale(state.grid)  # a cache miss computes m(nu) here, on the calling thread
+        # a cache miss computes m(nu) here, on the calling thread
+        scale = _grid_factors(state.grid).scale
         return partial(_block_moments, state.grid), _WORKERS, _fast_values, scale
     if path != "direct":
         raise ValueError(f"unknown path {path!r}; choose from {PATHS}")
@@ -277,8 +309,9 @@ def trajectory(
     ``times`` must be finite and strictly increasing; like :func:`evolve`,
     they may be negative, and they are copied.  The state is scaled as in
     :func:`expectation_m`, and the route runs as the module notes say.
-    Raises ValueError on an unknown path and on a zero or non-finite norm,
-    which the direct path checks before it builds an operator.
+    Raises ValueError on an unknown path, on a zero or non-finite norm,
+    which the direct path checks before it builds an operator, and, as
+    :func:`evolve`, on times at which the phases keep no digit.
     """
     t = np.array(times, dtype=float)
     if t.ndim != 1 or t.size < 2:
@@ -289,6 +322,7 @@ def trajectory(
         raise ValueError("times must be strictly increasing")
     state = _in_safe_range(state)
     block, workers, values, scale = _route(state, path, operator)
+    _check_phase_digits(state, float(t[np.argmax(np.abs(t))]))
     values = values(_orbit(state, t, block, workers, scale))
     violations = tuple(
         (float(t[k]), float(t[k + 1]), float(d))

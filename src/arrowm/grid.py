@@ -205,10 +205,16 @@ def state_norm(state: EnergyState) -> float:
     so wherever the unscaled sum neither overflows nor underflows the norm
     is the same bit for bit.  NaN or inf amplitudes give a NaN or inf norm.
     """
+    squares, e = _weighted_squares(state)
+    return float(np.ldexp(np.sqrt(np.sum(squares)), e))
+
+
+def _weighted_squares(state: EnergyState) -> tuple[np.ndarray, int]:
+    """(w |a|^2 4^-e, e): the weighted squares of the moduli as :func:`state_norm` scales them."""
     a = np.abs(state.amplitudes)
     e = _peak_exponent(a)
     np.ldexp(a, -e, out=a)
-    return float(np.ldexp(np.sqrt(np.sum(state.grid.weights * a ** 2)), e))
+    return state.grid.weights * a ** 2, e
 
 
 def _check_norm(norm) -> None:

@@ -24,14 +24,15 @@ exactly, by Bluestein's chirp-z transform: one FFT convolution with a chirp,
 zero-padded to the smallest 2^a 3^b 5^c >= n + points - 1, in
 O((n + points) log(n + points)) time and O(n + points) memory.
 
-The four grid-only factors the forward transform and the moments read
-(e^{u/2}, the forward prefactor, the ascending frequency lattice and m(nu)
-in FFT order paired for (Re, Im)) are computed once per grid and kept,
-read-only, for the 16 most recently used grids; the inverse transform and
-the fast apply recompute theirs per call.  Each factor is formed by the
-same operations in the same order as an inline computation, so cached
-results are bit-identical to uncached ones.  |chat|^2 is re^2 + im^2
-everywhere, with no square root.
+Every transform reads one table of grid-only factors, kept read-only for
+the 16 most recently used grids: the real scale c_i = (2 pi)^{-1/2} du
+e^{u_i/2}, the pure phase e^{i nu_k u_0} on the FFT lattice, the ascending
+frequency lattice and m(nu) in FFT order paired for (Re, Im).  With the
+unscaled ifft (norm="forward"), chat = phase ifft(c f) and
+f = fft(conj(phase) chat) / c; the fast apply fft(m ifft(c f)) / c and the
+orbit's block ifft(c f) form no phase.  Each factor is formed as an inline
+computation would form it, so cached results are bit-identical to uncached
+ones.  |chat|^2 is re^2 + im^2 everywhere, with no square root.
 
 Eigenfunctions are not square integrable; tests window them in u before
 applying either operator path.  The completeness check evaluates the
@@ -95,10 +96,10 @@ def frequency_jacobian(m):
 
 
 class _GridFactors(NamedTuple):
-    """The grid-only factors that the forward transform and the moments read."""
+    """The grid-only factors that every transform reads."""
 
-    half: np.ndarray  # e^{u_i/2}
-    forward: np.ndarray  # _forward on the FFT-order lattice
+    scale: np.ndarray  # c_i = (2 pi)^{-1/2} du e^{u_i/2}
+    phase: np.ndarray  # e^{i nu_k u_0} on the FFT-order lattice
     frequencies: np.ndarray  # ascending nu_k
     paired_multiplier: np.ndarray  # m(nu_k) in FFT order, each twice: (Re, Im) of chat_k
 
@@ -113,27 +114,17 @@ def _grid_factors(grid: LogEnergyGrid) -> _GridFactors:
     """
     nu = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.du)
     factors = _GridFactors(
-        half=np.exp(0.5 * grid.log_points),
-        forward=_forward(grid, nu),
+        scale=(2.0 * np.pi) ** -0.5 * grid.du * np.exp(0.5 * grid.log_points),
+        phase=_phase(grid, nu),
         frequencies=np.fft.fftshift(nu),
         paired_multiplier=np.repeat(eigenvalue_of_frequency(nu), 2),
     )
     return _GridFactors(*map(_readonly, factors))
 
 
-def _forward(grid: LogEnergyGrid, nu: np.ndarray) -> np.ndarray:
-    """The forward transform's prefactor (2 pi)^{-1/2} du e^{i nu u_0} at frequencies ``nu``."""
-    return (2.0 * np.pi) ** -0.5 * grid.du * np.exp(1j * nu * grid.log_points[0])
-
-
-def _row_scale(grid: LogEnergyGrid) -> np.ndarray:
-    """c_i = (2 pi)^{-1/2} du e^{u_i/2}, the real factors that :func:`_block_moments` expects.
-
-    The constant is the forward prefactor at nu = 0, the first frequency in
-    FFT order, where it is real: (2 pi)^{-1/2} du times 1 + 0j, exactly.
-    """
-    factors = _grid_factors(grid)
-    return factors.forward[0].real * factors.half
+def _phase(grid: LogEnergyGrid, nu: np.ndarray) -> np.ndarray:
+    """The forward transform's phase e^{i nu u_0} at frequencies ``nu``."""
+    return np.exp(1j * nu * grid.log_points[0])
 
 
 def _squared_modulus(chat: np.ndarray) -> np.ndarray:
@@ -179,37 +170,31 @@ def spectral_weight(spec: MellinSpectrum) -> np.ndarray:
 
 def forward_mellin(state: EnergyState) -> MellinSpectrum:
     """Coefficients chat(nu_k) = (2 pi)^{-1/2} sum_i du e^{i nu u_i} e^{u_i/2} f(E_i)."""
-    grid = state.grid
-    chat = _coefficients(_grid_factors(grid), state.amplitudes)
-    return MellinSpectrum(
-        grid=grid,
-        channels=state.channels,
-        coefficients=np.fft.fftshift(chat, axes=-1),
-    )
-
-
-def _coefficients(factors: _GridFactors, amplitudes: np.ndarray) -> np.ndarray:
-    """chat over the last axis of ``amplitudes``, in FFT order."""
-    chat = np.multiply(factors.half, amplitudes)
+    factors = _grid_factors(state.grid)
+    chat = np.multiply(factors.scale, state.amplitudes)
     np.fft.ifft(chat, axis=-1, norm="forward", out=chat)
-    return np.multiply(factors.forward, chat, out=chat)
+    np.multiply(factors.phase, chat, out=chat)
+    return MellinSpectrum(state.grid, state.channels, np.fft.fftshift(chat, axes=-1))
 
 
 def inverse_mellin(spec: MellinSpectrum) -> EnergyState:
     """Exact inverse of :func:`forward_mellin` (plain FFT pair, roundoff only)."""
-    grid = spec.grid
-    u = grid.log_points
-    phase = np.exp(-1j * np.fft.ifftshift(spec.frequencies) * u[0])
-    chat = np.fft.ifftshift(spec.coefficients, axes=-1)
-    F = (2.0 * np.pi) ** -0.5 * spec.dnu * np.fft.fft(chat * phase, axis=-1)
-    return make_state(grid, spec.channels, np.exp(-0.5 * u) * F)
+    factors = _grid_factors(spec.grid)
+    chat = np.fft.ifftshift(spec.coefficients, axes=-1) * factors.phase.conj()
+    F = np.fft.fft(chat, axis=-1, norm="forward") / factors.scale
+    return make_state(spec.grid, spec.channels, F)
 
 
 def apply_m_fast(state: EnergyState) -> EnergyState:
-    """Apply the operator as multiplication by m(nu) in coefficient space."""
-    spec = forward_mellin(state)
-    scaled = spec.coefficients * eigenvalue_of_frequency(spec.frequencies)
-    return inverse_mellin(MellinSpectrum(spec.grid, spec.channels, scaled))
+    """Apply the operator as multiplication by m(nu) in coefficient space.
+
+    The transform's phase and its conjugate would cancel, so neither is formed.
+    """
+    factors = _grid_factors(state.grid)
+    chat = np.fft.ifft(factors.scale * state.amplitudes, axis=-1, norm="forward")
+    chat *= factors.paired_multiplier[::2]
+    F = np.fft.fft(chat, axis=-1, norm="forward") / factors.scale
+    return make_state(state.grid, state.channels, F)
 
 
 def eigen_density(state: EnergyState, nu_start: float, nu_stop: float, points: int):
@@ -250,14 +235,14 @@ def eigen_density(state: EnergyState, nu_start: float, nu_stop: float, points: i
     j = np.arange(n)
     k = np.arange(points)
     lag = np.arange(-(n - 1), points)
-    F = _grid_factors(grid).half * state.amplitudes
+    F = _grid_factors(grid).scale * state.amplitudes
     h = F * np.exp(1j * nu_start * grid.du * j) * _chirp(turns, j * j)
     size = _fft_length(n + points - 1)
     conv = np.fft.ifft(
         np.fft.fft(h, size, axis=-1) * np.fft.fft(_chirp(-turns, lag * lag), size),
         axis=-1,
     )[:, n - 1 : n - 1 + points]
-    chat = _forward(grid, nu) * _chirp(turns, k * k) * conv
+    chat = _phase(grid, nu) * _chirp(turns, k * k) * conv
     return nu, _squared_modulus(chat) / frequency_jacobian(m)
 
 
@@ -296,13 +281,12 @@ def _spectrum_moments(spec: MellinSpectrum) -> tuple[float, float]:
 def _block_moments(grid: LogEnergyGrid, amplitudes: np.ndarray):
     """:func:`eigen_density_moments` of a block of scaled states: (mass, first), each (b,).
 
-    Each row must already carry the real factors c = :func:`_row_scale`.
-    The forward prefactor differs from c's constant (2 pi)^{-1/2} du only by
-    a phase, which |chat|^2 does not see, so the rows need only the
-    in-place inverse FFT before :func:`_moments`: the sums have the
-    magnitudes of :func:`eigen_density_moments` and agree with it to
-    within rounding.  ``amplitudes`` (complex, shape (b, channels, n)) is
-    overwritten, first by the transform and then by its squares.
+    Each row must already carry the table's scale c, so it needs only the
+    in-place inverse FFT before :func:`_moments`.  That leaves out the
+    table's phase, which |chat|^2 does not see: the sums agree with
+    :func:`eigen_density_moments` to within rounding.  ``amplitudes``
+    (complex, shape (b, channels, n)) is overwritten, first by the
+    transform and then by its squares.
     """
     return _moments(grid, np.fft.ifft(amplitudes, axis=-1, norm="forward", out=amplitudes))
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
+from scipy.special import loggamma
 
 from arrowm import CHANNELS, eigenvalue_of_frequency, make_log_grid, make_state, tukey_window
 from arrowm.operator import QUADRATURES, _reversal_block
@@ -129,48 +130,45 @@ def mellin_ndft(state, nu):
     return chat
 
 
-# Uncached oracles of the fast path: the transform formulas with every
-# grid-only factor recomputed inline, in the order the library multiplies
-# them, so the library's cached factors must reproduce them bit for bit.
+# Uncached oracles of the fast path: the transform formulas with the scale c
+# and the phase recomputed inline, in the order the library multiplies them,
+# so the library's cached factors must reproduce them bit for bit.
 
 
 def _fft_order_frequencies(grid):
     return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.du)
 
 
+def _scale_oracle(grid):
+    """c_i = (2 pi)^{-1/2} du e^{u_i/2}."""
+    return (2.0 * np.pi) ** -0.5 * grid.du * np.exp(0.5 * grid.log_points)
+
+
+def _phase_oracle(grid):
+    """e^{i nu_k u_0} on the FFT-order lattice."""
+    return np.exp(1j * _fft_order_frequencies(grid) * grid.log_points[0])
+
+
 def forward_mellin_oracle(state):
-    """Coefficients of ``forward_mellin(state)``, ascending frequency."""
+    """Coefficients of ``forward_mellin(state)``, ascending frequency: phase ifft(c f)."""
     grid = state.grid
-    u = grid.log_points
-    F = np.exp(0.5 * u) * state.amplitudes
-    chat = (
-        (2.0 * np.pi) ** -0.5
-        * grid.du
-        * np.exp(1j * _fft_order_frequencies(grid) * u[0])
-        * np.fft.ifft(F, axis=-1, norm="forward")
-    )
+    F = _scale_oracle(grid) * state.amplitudes
+    chat = _phase_oracle(grid) * np.fft.ifft(F, axis=-1, norm="forward")
     return np.fft.fftshift(chat, axes=-1)
 
 
 def inverse_mellin_oracle(grid, coefficients):
     """Amplitudes of ``inverse_mellin`` for ascending-frequency coefficients."""
-    u = grid.log_points
-    dnu = 2.0 * np.pi / (grid.n * grid.du)
-    chat = np.fft.ifftshift(coefficients, axes=-1)
-    F = (2.0 * np.pi) ** -0.5 * dnu * np.fft.fft(
-        chat * np.exp(-1j * _fft_order_frequencies(grid) * u[0]), axis=-1
-    )
-    return np.exp(-0.5 * u) * F
-
-
-def _multiplier_oracle(grid):
-    return eigenvalue_of_frequency(np.fft.fftshift(_fft_order_frequencies(grid)))
+    chat = np.fft.ifftshift(coefficients, axes=-1) * np.conj(_phase_oracle(grid))
+    return np.fft.fft(chat, axis=-1, norm="forward") / _scale_oracle(grid)
 
 
 def apply_m_fast_oracle(state):
-    """Amplitudes of ``apply_m_fast(state)``."""
-    scaled = forward_mellin_oracle(state) * _multiplier_oracle(state.grid)
-    return inverse_mellin_oracle(state.grid, scaled)
+    """Amplitudes of ``apply_m_fast(state)``: fft(m ifft(c f)) / c, with no phase."""
+    grid = state.grid
+    m = eigenvalue_of_frequency(_fft_order_frequencies(grid))
+    chat = m * np.fft.ifft(_scale_oracle(grid) * state.amplitudes, axis=-1, norm="forward")
+    return np.fft.fft(chat, axis=-1, norm="forward") / _scale_oracle(grid)
 
 
 def eigen_density_moments_oracle(state):
@@ -183,7 +181,7 @@ def eigen_density_moments_oracle(state):
     dnu = 2.0 * np.pi / (grid.n * grid.du)
     chat = np.fft.ifftshift(forward_mellin_oracle(state), axes=-1)
     squares = np.stack([chat.real**2, chat.imag**2], axis=-1)
-    m = np.fft.ifftshift(_multiplier_oracle(grid))[:, None]
+    m = eigenvalue_of_frequency(_fft_order_frequencies(grid))[:, None]
     return float(np.sum(squares) * dnu), float(np.sum(m * squares) * dnu)
 
 
@@ -191,6 +189,42 @@ def spectral_weight_oracle(spec):
     """``spectral_weight(spec)``: dnu times the channel sum of re^2 + im^2."""
     c = spec.coefficients
     return spec.dnu * np.sum(c.real**2 + c.imag**2, axis=0)
+
+
+def packet_chat_reference(params, nu, t):
+    """chat_pm(nu, t) of the evolved Gaussian packet, grid-free: shape (2, len(nu)), (+, -).
+
+    The packet stays Gaussian in p = sqrt(2 eta E), so expanding e^{+-a p}
+    term by term gives, with 80 terms,
+
+        chat_pm = (2 pi)^{-1/2} sqrt 2 (2 eta)^{-i nu} phi(0)
+                  * sum_k (+-a)^k / k! 1/2 Gamma(z_k) b_t^{-z_k},
+
+    z_k = (k + 1/2 + 2 i nu) / 2, a = p0 / xi0^2, b_t = 1/(2 xi0^2) + i t/(2 eta)
+    and phi(0) = (pi xi0^2)^{-1/4} e^{-p0^2/(2 xi0^2)}.
+    """
+    nu = np.atleast_1d(np.asarray(nu, dtype=float))
+    eta, p0, xi0 = params.eta, params.p0, params.xi0
+    a = p0 / xi0**2
+    b = 1.0 / (2.0 * xi0**2) + 1j * t / (2.0 * eta)
+    k = np.arange(80)[:, None]
+    z = (k + 0.5 + 2j * nu) / 2.0
+    moments = 0.5 * np.exp(loggamma(z) - z * np.log(b))  # 1/2 Gamma(z_k) b^{-z_k}
+    coef = np.cumprod(np.r_[1.0, a / k[1:, 0]])[:, None]  # a^k / k!
+    phi0 = (np.pi * xi0**2) ** -0.25 * np.exp(-(p0**2) / (2.0 * xi0**2))
+    pref = (2.0 * np.pi) ** -0.5 * 2.0**0.5 * phi0 * np.exp(-1j * nu * np.log(2.0 * eta))
+    return np.stack([pref * np.sum(c * moments, axis=0) for c in (coef, (-1.0) ** k * coef)])
+
+
+def packet_expectation_reference(params, t):
+    """<M>(t) of the Gaussian packet, grid-free: the integral of m(nu) sum_pm |chat_pm|^2.
+
+    The trapezoid rule on 1201 points of nu in [-20, 20].  The packet has unit
+    mass on the half-line, so the integral needs no normalization.
+    """
+    nu = np.linspace(-20.0, 20.0, 1201)
+    weight = np.sum(np.abs(packet_chat_reference(params, nu, t)) ** 2, axis=0)
+    return float(np.trapezoid(eigenvalue_of_frequency(nu) * weight, nu))
 
 
 def zero_state(grid, channels=CHANNELS):

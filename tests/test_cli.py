@@ -584,6 +584,10 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     ("fig1", "state.xi0 = 1e-170\n"),
     ("fig1", "state.xi0 = 1e-160\n"),
     ("fig2", "frames.times = 1e160\n"),
+    # times at which the phases E t keep no digit on the packet's mass
+    ("fig1", "times.t_end = 1e300\n"),
+    ("eigden", "density.time = 1e300\n"),
+    ("fig2", "frames.times = 1e100, 1e153\n"),
     # a packet whose center p0 t / eta overflows while its spread does not
     ("fig2", "grid.e_min = 1e-170\ngrid.e_max = 1e170\nstate.eta = 1e-160\n"
              "state.p0 = 10\nstate.xi0 = 1\nframes.times = 2e147\n"),
@@ -622,14 +626,17 @@ def test_main_empty_output_dir_exits_two_and_writes_nothing(tmp_path, capsys, mo
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["empty.cfg"])
 
 
-def test_main_fig2_at_a_huge_finite_time(tmp_path):
+def test_main_fig2_at_a_huge_finite_time(tmp_path, capsys):
+    # the run is refused, since the energy frames' phases keep no digit; the
+    # closed-form position frames still hold their mass at such times
     cfg = tmp_path / "late.cfg"
     cfg.write_text("grid.n = 512\nframes.times = 1e100, 1e153\noutput.svg = false\n")
-    assert main(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    lines = (tmp_path / "o" / "summary.txt").read_text().splitlines()
-    summary = dict(line.split(" = ", 1) for line in lines)
-    for k in (0, 1):
-        assert float(summary[f"frame_{k:02d}_position_mass"]) == pytest.approx(1.0, abs=1e-9)
+    assert main(["fig2", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("arrow-m fig2: at t = 1e+100 the phases")
+    packaged = load_config("fig2")
+    for t in (1e100, 1e153):
+        _, _, mass, _ = cli._position_frame(cli._packet(packaged), t, packaged["frames.x_points"])
+        assert mass == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("blocked", ["trajectory.svg", "trajectory.csv"])

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -72,6 +73,31 @@ def test_evolve_rejects_a_non_finite_time(t, rng):
     f = random_smooth_state(make_log_grid(1e-2, 1e2, 64), rng)
     with pytest.raises(ValueError, match="finite"):
         evolve(f, t)
+
+
+@pytest.mark.parametrize("path", dynamics.PATHS)
+@pytest.mark.parametrize("t", [1e300, -1e300, 1e100])
+def test_times_whose_phases_keep_no_digit_are_refused(t, path):
+    # E |t| >= 2^52 on all of the fig1 packet's mass; the time is named, and
+    # the masses are summed without overflow for amplitudes of 1e300 too
+    packet = fig_packet(256)
+    named = re.escape(f"at t = {t:g} the phases")
+    for scale in (1.0, 1e300):
+        f = make_state(packet.grid, packet.channels, packet.amplitudes * scale)
+        with pytest.raises(ValueError, match=named):
+            evolve(f, t)
+        with pytest.raises(ValueError, match=named):
+            trajectory(f, sorted([0.0, t]), path=path)
+
+
+def test_phase_digit_guard_weighs_mass_not_support():
+    # random_smooth_state on the wide window is nonzero up to E = 2.3e16, so
+    # E t passes 2^52 on its support at t = 1e7, but only 6e-105 of its mass
+    # lies there; the fig1 packet keeps no mass there up to t = 1e13
+    f = random_smooth_state(make_log_grid(*WIDE_BOUNDS, 4096), np.random.default_rng(12345))
+    assert f.grid.points[dynamics._support(f).stop - 1] * 1e7 >= 2.0**52
+    assert state_norm(evolve(f, 1e7)) == pytest.approx(1.0, abs=1e-12)
+    trajectory(fig_packet(4096), [0.0, 1e13], path="fast")
 
 
 def test_evolve_keeps_zeros_outside_the_support():

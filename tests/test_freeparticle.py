@@ -18,7 +18,9 @@ from arrowm import (
     position_wavefunction,
     state_norm,
     to_energy_state,
+    trajectory,
 )
+from conftest import WIDE_BOUNDS, packet_expectation_reference
 
 PARAMS = GaussianPacketParams(eta=1.0, p0=0.64, xi0=0.3)
 FIG_BOUNDS = (5e-15, 50.0)
@@ -221,3 +223,43 @@ def test_evolution_commutes_with_energy_representation():
     assert abs(expectation_m(evolved) - expectation_m(remapped)) <= 1e-6
     amp_diff = np.max(np.abs(np.abs(evolved.amplitudes) - np.abs(remapped.amplitudes)))
     assert amp_diff <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the grid-free reference <M>(t) of the packet (conftest)
+
+
+def test_reference_expectation_starts_at_one_half():
+    # the packet's f_pm(E) are real at t = 0, so |chat_pm(-nu)| = |chat_pm(nu)|,
+    # and m(nu) + m(-nu) = 1 weighs each pair by 1/2 in total
+    assert packet_expectation_reference(PARAMS, 0.0) == pytest.approx(0.5, abs=1e-14)
+
+
+def test_direct_route_on_the_fig1_window_meets_the_reference():
+    # measured -7.5e-10, -1.8e-9 and -2.0e-9: the mass below e_min.  The fast
+    # route is off by up to 2.3e-6 here, the wrap of its circulant in u
+    times = [2.0, 8.0, 32.0]
+    state = normalize_state(to_energy_state(PARAMS, make_log_grid(*FIG_BOUNDS, 4096)))
+    values = trajectory(state, times, path="direct").values
+    for t, value in zip(times, values):
+        assert abs(value - packet_expectation_reference(PARAMS, t)) <= 3e-9, t
+
+
+@pytest.mark.parametrize("path", ["fast", "direct"])
+def test_both_routes_on_the_wide_window_meet_the_reference(path):
+    # measured at most 2.8e-13
+    times = [2.0, 8.0, 32.0]
+    state = normalize_state(to_energy_state(PARAMS, make_log_grid(*WIDE_BOUNDS, 4096)))
+    values = trajectory(state, times, path=path).values
+    for t, value in zip(times, values):
+        assert abs(value - packet_expectation_reference(PARAMS, t)) <= 1e-12, t
+
+
+def test_reference_expectation_follows_the_long_time_law():
+    # <M>(t) ~ C t^{-1/2} (1 + D/t) from Watson's lemma at E = 0, with
+    # C = (2/pi) K^2 Gamma(3/4)^2 and D = A^2 Gamma(5/4)^2 / (3 Gamma(3/4)^2);
+    # the next term's relative size is about (D/t)^2 = 3.2e-4 at t = 1024
+    # (measured 1.9e-4)
+    t, C, D = 1024.0, 0.013419, 18.44
+    law = C * t**-0.5 * (1.0 + D / t)
+    assert packet_expectation_reference(PARAMS, t) == pytest.approx(law, rel=3.2e-4)

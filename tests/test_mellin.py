@@ -61,6 +61,19 @@ def test_roundtrip_is_identity(rng, wide_grid):
     assert err <= 1e-12 * state_norm(f)
 
 
+@pytest.mark.parametrize("bounds", [(5e-15, 50.0), WIDE_BOUNDS], ids=["fig1", "wide"])
+def test_apply_m_fast_inverts_m_times_the_spectrum(bounds, rng):
+    # apply_m_fast forms neither the transform's phase nor its conjugate,
+    # since they cancel
+    grid = make_log_grid(*bounds, 4096)
+    f = random_smooth_state(grid, rng)
+    spec = forward_mellin(f)
+    scaled = spec.coefficients * eigenvalue_of_frequency(spec.frequencies)
+    expected = inverse_mellin(MellinSpectrum(grid, f.channels, scaled)).amplitudes
+    err = state_norm(make_state(grid, f.channels, apply_m_fast(f).amplitudes - expected))
+    assert err <= 1e-14 * state_norm(f)
+
+
 def test_zero_spectrum_inverts_to_zero(wide_grid):
     spec = MellinSpectrum(
         grid=wide_grid,
