@@ -9,8 +9,10 @@ checked where they are used: the library's ValueErrors (a bad grid, state or
 time range) become :class:`ScenarioError`, as do MemoryErrors and failures
 to write an output file.  Exit codes: 0 ok, 1 a failed ``verify`` check, 2 a
 bad configuration or scenario, a run that does not fit in memory or an
-unwritable output.  CSV is the canonical output (floats at 17 significant
-digits, so reruns are byte-identical).  Its floats are formatted in bulk by
+unwritable output.  Runners only compute: :func:`run_scenario` writes every
+file once the runner has returned, so a refused run writes none.  CSV is
+the canonical output (floats at 17 significant digits, so reruns are
+byte-identical).  Its floats are formatted in bulk by
 :mod:`arrowm._csvtext`, byte-identical to Python's ``"%.17g" % x``: the
 scaled value is within about 1e-13 of exact, and ties, near-ties and decade
 boundaries go through Python's ``%``.  SVG line plots are a convenience.
@@ -261,6 +263,8 @@ def build_scenario_state(cfg: dict, grid):
 # Negative-frequency edge of a density frame: eigenvalues closer to 1 than
 # m(-5.5) = 1 - 1e-15 are not representable in double precision.
 _FRAME_NU_EDGE = -5.5
+# Largest |mass - 1| of a position frame: too few frames.x_points miss it.
+_POSITION_MASS_TOL = 1e-8
 
 
 def eigen_density_frame(state, points: int):
@@ -290,7 +294,11 @@ def eigen_density_frame(state, points: int):
 
 
 def _position_frame(params: GaussianPacketParams, t: float, points: int):
-    """(x, density, mass, variance) of the packet at t on its center +- 8.5 spreads."""
+    """(x, density, mass, variance) of the packet at t on its center +- 8.5 spreads.
+
+    Raises ValueError where the mass is off 1 by more than 1e-8, as 17 or fewer
+    points leave the fig-1 packet's.
+    """
     center = params.p0 / params.eta * t
     half = 8.5 * position_spread(params, t)
     if not math.isfinite((center + half) - (center - half)):
@@ -298,30 +306,30 @@ def _position_frame(params: GaussianPacketParams, t: float, points: int):
     x = np.linspace(center - half, center + half, points)
     dens = position_density(params, x, t)
     mass = float(np.trapezoid(dens, x))
+    if not abs(mass - 1.0) <= _POSITION_MASS_TOL:
+        raise ValueError(f"the position frame at t = {t:g} holds mass {mass:.12g}, not 1 "
+                         f"within {_POSITION_MASS_TOL:g}: frames.x_points = {points} is too few")
     mean = float(np.trapezoid(x * dens, x) / mass)
     return x, dens, mass, float(np.trapezoid((x - mean) ** 2 * dens, x) / mass)
 
 
-def _write_density_frame(out: Path, stem: str, t: float, nu, m, rho, svg: bool) -> None:
-    write_csv(out / f"{stem}.csv", ("m", "rho_plus", "rho_minus", "nu"),
-              m, rho[0], rho[1], nu)
-    if svg:
-        # rho(m) has integrable spikes at the interval edges (the change of
-        # variables amplifies coefficient tails by 1/(2 pi m (1 - m))); plot the
-        # bulk window only, the CSV carries the full frame
-        bulk = (m >= 1e-3) & (m <= 1.0 - 1e-3)
-        write_line_plot(out / f"{stem}.svg", m[bulk],
-                        {"rho_plus": rho[0][bulk], "rho_minus": rho[1][bulk]},
-                        title=f"eigenvalue density at t = {t:g}",
-                        xlabel="m (bulk window)", ylabel="rho(m)")
+def _density_frame_output(stem: str, t: float, nu, m, rho):
+    # rho(m) has integrable spikes at the interval edges (the change of variables
+    # amplifies coefficient tails by 1/(2 pi m (1 - m))); plot the bulk window
+    # m in [1e-3, 1 - 1e-3], one index range as m decreases; the CSV has it all
+    bulk = slice(np.count_nonzero(m > 1.0 - 1e-3), m.size - np.count_nonzero(m < 1e-3))
+    plot = (m[bulk], {"rho_plus": rho[0][bulk], "rho_minus": rho[1][bulk]},
+            f"eigenvalue density at t = {t:g}", "m (bulk window)", "rho(m)")
+    return stem, ("m", "rho_plus", "rho_minus", "nu"), (m, rho[0], rho[1], nu), plot
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each writes its files into ``out`` and returns the
-# summary entries that follow "scenario"
+# subcommand runners: each takes only ``cfg`` and returns the summary entries
+# that follow "scenario" and its outputs (stem, CSV header, CSV columns, plot
+# or None), a plot being write_line_plot's arguments after the path
 
 
-def run_spectrum(cfg: dict, out: Path) -> dict:
+def run_spectrum(cfg: dict):
     t0 = time.perf_counter()
     grid = build_scenario_grid(cfg)
     op = build_dense_m(grid, quadrature=cfg["operator.quadrature"])
@@ -329,16 +337,13 @@ def run_spectrum(cfg: dict, out: Path) -> dict:
     t1 = time.perf_counter()
     eigvals = dense_spectrum(op)
     t2 = time.perf_counter()
-    write_csv(out / "spectrum.csv", ("index", "eigenvalue"), range(eigvals.size), eigvals)
-    if cfg["output.svg"]:
-        write_line_plot(out / "spectrum.svg", np.arange(eigvals.size),
-                        {"eigenvalue": eigvals}, title="dense spectrum",
-                        xlabel="index", ylabel="eigenvalue")
     bins = np.histogram(eigvals, bins=20, range=(0.0, 1.0))[0]
     # Szego: the eigenvalues distribute like the values of the Toeplitz
     # symbol, sampled by the 2n circulant embedding; the fast route's
     # multiplier m(nu_k) is the continuum symbol on its own lattice
     symbol = np.sort(0.5 + op.circulant_fft.real)[::2]
+    plot = (np.arange(eigvals.size), {"eigenvalue": eigvals}, "dense spectrum",
+            "index", "eigenvalue")
     return {
         "quadrature": cfg["operator.quadrature"],
         "grid.e_min": cfg["grid.e_min"], "grid.e_max": cfg["grid.e_max"], "grid.n": cfg["grid.n"],
@@ -350,7 +355,7 @@ def run_spectrum(cfg: dict, out: Path) -> dict:
         "w1_to_multiplier": _w1_to_multiplier(eigvals, grid),
         "timing_build_s": t1 - t0,
         "timing_eigensolve_s": t2 - t1,
-    }
+    }, [("spectrum", ("index", "eigenvalue"), (range(eigvals.size), eigvals), plot)]
 
 
 def _w1_to_multiplier(eigvals: np.ndarray, grid) -> float:
@@ -359,7 +364,7 @@ def _w1_to_multiplier(eigvals: np.ndarray, grid) -> float:
     return float(np.mean(np.abs(eigvals - multiplier)))
 
 
-def run_trajectory_scenario(cfg: dict, out: Path, name: str) -> dict:
+def run_trajectory_scenario(cfg: dict, name: str):
     t0 = time.perf_counter()
     grid = build_scenario_grid(cfg)
     state = build_scenario_state(cfg, grid)
@@ -373,15 +378,11 @@ def run_trajectory_scenario(cfg: dict, out: Path, name: str) -> dict:
     t2 = time.perf_counter()
 
     names = sorted(results)
-    write_csv(out / "trajectory.csv", ("t", "expectation_m", "path"),
-              np.repeat(times, len(names)),
-              np.stack([results[p].values for p in names], axis=1).ravel(),
-              names * times.size)
-    if cfg["output.svg"]:
-        write_line_plot(out / "trajectory.svg", times,
-                        {p: results[p].values for p in names},
-                        title=f"{name}: expectation along the orbit",
-                        xlabel="t", ylabel="<M>(t)")
+    columns = (np.repeat(times, len(names)),
+               np.stack([results[p].values for p in names], axis=1).ravel(),
+               names * times.size)
+    plot = (times, {p: results[p].values for p in names},
+            f"{name}: expectation along the orbit", "t", "<M>(t)")
 
     summary = {
         "path": cfg["path"],
@@ -400,10 +401,10 @@ def run_trajectory_scenario(cfg: dict, out: Path, name: str) -> dict:
         )
     summary["timing_setup_s"] = t1 - t0
     summary["timing_trajectory_s"] = t2 - t1
-    return summary
+    return summary, [("trajectory", ("t", "expectation_m", "path"), columns, plot)]
 
 
-def run_eigden(cfg: dict, out: Path) -> dict:
+def run_eigden(cfg: dict):
     grid = build_scenario_grid(cfg)
     state = build_scenario_state(cfg, grid)
     t = cfg["density.time"]
@@ -411,7 +412,6 @@ def run_eigden(cfg: dict, out: Path) -> dict:
     nu, m, rho, covered, mass, first, below = eigen_density_frame(
         evolve(state, t), points=cfg["frames.density_points"])
     t1 = time.perf_counter()
-    _write_density_frame(out, "eigen_density", t, nu, m, rho, cfg["output.svg"])
     return {
         "time": t,
         "grid.e_min": cfg["grid.e_min"], "grid.e_max": cfg["grid.e_max"], "grid.n": cfg["grid.n"],
@@ -420,10 +420,10 @@ def run_eigden(cfg: dict, out: Path) -> dict:
         "density_mass": mass,
         "density_first_moment": first,
         "timing_density_s": t1 - t0,
-    }
+    }, [_density_frame_output("eigen_density", t, nu, m, rho)]
 
 
-def run_fig2(cfg: dict, out: Path) -> dict:
+def run_fig2(cfg: dict):
     if cfg["state.kind"] != "gaussian":
         raise ScenarioError("fig2 frames need a gaussian packet state")
     params = _packet(cfg)
@@ -434,15 +434,14 @@ def run_fig2(cfg: dict, out: Path) -> dict:
         "grid.e_min": cfg["grid.e_min"], "grid.e_max": cfg["grid.e_max"], "grid.n": cfg["grid.n"],
         "n_frames": len(frame_times),
     }
+    outputs = []
     for k, t in enumerate(frame_times):
         x, dens, mass_x, var_x = _position_frame(params, t, cfg["frames.x_points"])
-        write_csv(out / f"position_density_{k:02d}.csv", ("coordinate", "density"), x, dens)
-        if cfg["output.svg"]:
-            write_line_plot(out / f"position_density_{k:02d}.svg", x, {"density": dens},
-                            title=f"|psi(x, t)|^2 at t = {t:g}", xlabel="x", ylabel="density")
         nu, m, rho, covered, mass, first, below = eigen_density_frame(
             evolve(state, t), points=cfg["frames.density_points"])
-        _write_density_frame(out, f"eigen_density_{k:02d}", t, nu, m, rho, cfg["output.svg"])
+        outputs += [(f"position_density_{k:02d}", ("coordinate", "density"), (x, dens),
+                     (x, {"density": dens}, f"|psi(x, t)|^2 at t = {t:g}", "x", "density")),
+                    _density_frame_output(f"eigen_density_{k:02d}", t, nu, m, rho)]
         summary[f"frame_{k:02d}_t"] = float(t)
         summary[f"frame_{k:02d}_position_mass"] = mass_x
         summary[f"frame_{k:02d}_position_variance"] = var_x
@@ -450,7 +449,7 @@ def run_fig2(cfg: dict, out: Path) -> dict:
         summary[f"frame_{k:02d}_density_mass_below_edge"] = below
         summary[f"frame_{k:02d}_expectation_m"] = first / mass
     summary["timing_frames_s"] = time.perf_counter() - t0
-    return summary
+    return summary, outputs
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +561,10 @@ def _verify_checks():
     return checks
 
 
-def run_verify(cfg: dict, out: Path) -> dict:
+def run_verify(cfg: dict):
     t0 = time.perf_counter()
     checks = _verify_checks()
     elapsed = time.perf_counter() - t0
-    write_csv(out / "verify_results.csv", ("check", "status", "value", "tolerance"),
-              *zip(*checks))
     failed = [name for name, status, _, _ in checks if status == "FAIL"]
     overall = "PASS" if not failed else "FAIL"
     for name, status, value, tol in checks:
@@ -579,10 +576,10 @@ def run_verify(cfg: dict, out: Path) -> dict:
         "n_failed": len(failed),
         "overall": overall,
         "timing_total_s": elapsed,
-    }
+    }, [("verify_results", ("check", "status", "value", "tolerance"), tuple(zip(*checks)), None)]
 
 
-# name: (runner(cfg, out) -> summary entries, help line, default overrides)
+# name: (runner(cfg) -> (summary entries, outputs), help line, default overrides)
 SUBCOMMANDS = {
     "spectrum": (run_spectrum, "dense eigenvalue spectrum of the operator",
                  {"grid.e_min": 1e-3, "grid.e_max": 1e3, "grid.n": 512,
@@ -598,15 +595,22 @@ SUBCOMMANDS = {
 
 
 def run_scenario(subcommand: str, cfg: dict) -> dict:
-    """Run one subcommand into ``cfg["output.dir"]``; write and return its summary.
+    """Run one subcommand, then write its outputs and summary into ``cfg["output.dir"]``.
 
-    The library's ValueErrors (bad grids, states or times), runs that do not
-    fit in memory and failures to write an output file become ScenarioError.
+    The directory is probed for writability first; files are written only
+    once the runner has returned, so a refused run writes none.  The
+    library's ValueErrors (bad grids, states or times), runs that do not fit
+    in memory and failures to write an output file become ScenarioError.
     """
     runner = SUBCOMMANDS[subcommand][0]
     out = _prepare_outdir(cfg)
     try:
-        summary = {"scenario": subcommand, **runner(cfg, out)}
+        entries, outputs = runner(cfg)
+        for stem, header, columns, plot in outputs:
+            write_csv(out / f"{stem}.csv", header, *columns)
+            if plot is not None and cfg["output.svg"]:
+                write_line_plot(out / f"{stem}.svg", *plot)
+        summary = {"scenario": subcommand, **entries}
         write_summary(out / "summary.txt", summary)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc

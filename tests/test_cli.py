@@ -538,6 +538,22 @@ def test_gaussian_tail_safety_enforced(tmp_path):
         run_scenario("fig1", cfg)
 
 
+@pytest.mark.parametrize("sub", sorted(cli.SUBCOMMANDS))
+def test_runners_return_their_outputs_and_write_no_file(tmp_path, monkeypatch, sub):
+    # only run_scenario writes: a runner returns (summary entries, outputs)
+    monkeypatch.chdir(tmp_path)
+    cfg = load_config(sub, None, {"output.dir": "out", "grid.n": 512, "times.steps": 5,
+                                  "frames.times": (2.0,), "frames.x_points": 101,
+                                  "frames.density_points": 101})
+    entries, outputs = cli.SUBCOMMANDS[sub][0](cfg)
+    assert list(tmp_path.iterdir()) == []
+    assert isinstance(entries, dict) and entries and "scenario" not in entries
+    assert outputs
+    for stem, header, columns, plot in outputs:
+        assert isinstance(stem, str) and len(columns) == len(header)
+        assert plot is None or len(plot) == 5
+
+
 def test_unwritable_output_directory(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("")
@@ -588,6 +604,10 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     ("fig1", "times.t_end = 1e300\n"),
     ("eigden", "density.time = 1e300\n"),
     ("fig2", "frames.times = 1e100, 1e153\n"),
+    # a refused frame after an accepted one: still no file
+    ("fig2", "frames.times = 2, 1e154\n"),
+    # too few position points to hold the packet's mass within 1e-8
+    ("fig2", "frames.x_points = 9\n"),
     # a packet whose center p0 t / eta overflows while its spread does not
     ("fig2", "grid.e_min = 1e-170\ngrid.e_max = 1e170\nstate.eta = 1e-160\n"
              "state.p0 = 10\nstate.xi0 = 1\nframes.times = 2e147\n"),
@@ -600,6 +620,8 @@ def test_main_bad_scenario_exits_two_with_one_line(tmp_path, capsys, sub, text):
     assert rc == 2
     assert err.startswith(f"arrow-m {sub}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    # only the writability probe may have made the directory
+    assert not (tmp_path / "o").exists() or not any((tmp_path / "o").iterdir())
 
 
 def test_main_failed_eigensolve_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
