@@ -27,10 +27,12 @@ from .operator import *
 # (channels, n) complex arrays, 128 KiB each at n = 4096, so at the start
 # thresholds each one faults its pages in afresh.  Freeing one untouched
 # 4 MiB block raises both thresholds for the process (they never fall);
-# other allocators are unaffected.  In a fresh process at n = 4096 on a
-# 2-core host, with the block against without: a 200-step direct trajectory
-# 375 against 51,415 faults (0.21 s against 0.35 s), 20 density frames 452
-# against 7,530, a 4000-step fast trajectory 763 against 1,128 to 64,969.
+# other allocators are unaffected.  In a fresh process with the fig-1 packet
+# at n = 4096 on a 2-core host, with the block against without: a 200-step
+# direct trajectory 586 to 589 against 13,614 faults (0.09 to 0.11 s against
+# 0.11 s), 20 density frames 123 to 126 against 3,784 to 3,788 (27 to 29 ms
+# against 33 to 35 ms), a 4000-step fast trajectory 646 to 768 against 841
+# to 963 (0.21 to 0.27 s either way).
 _np.empty(4 << 20, dtype=_np.uint8)
 
 __version__ = "0.1.0"

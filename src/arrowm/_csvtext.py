@@ -9,10 +9,12 @@ even integer (y > 2^53), so D and the rounding decision come from p and the
 fraction of e.  The computed y is within 1e-13 of the exact one (1.7e-15
 at most over 62,000 values, random bit patterns and every power of two
 among them), so the rounding is certain unless the fraction lies within
-``_NEAR_TIE`` of 1/2 (exact ties occur: 2^-25 is one).  Those values, the
-ones whose y lies within about 1e-9 of 1e16 or 1e17 (where the rounded
-digits may change decade), and ±0, inf and nan go through Python's own
-``%``.
+``_NEAR_TIE`` of 1/2 (exact ties occur: 2^-25 is one).  Python's own ``%``
+writes those values, the ones whose y lies within about 1e-9 of 1e16 or 1e17
+(where the rounded digits may change decade), the ones with |s| > 250 (|x| <
+1e-234 or |x| >= 1e267, where 10^s or the error terms may leave the normal
+range), whole numbers in fixed notation whose last whole digit is 0 (10, 120,
+3000), and ±0, inf and nan.
 
 The digits are laid out by Python's ``g`` rules: fixed notation for decimal
 exponents -4 to 16, exponent notation otherwise, trailing zeros of the
@@ -22,9 +24,8 @@ for the point, the exponent and the separator.  Any other cell gets its
 str, UTF-8 encoded, and its separator.  Bytes a cell does not use are NUL,
 and one ``bytes.translate`` drops them all, so no cell may hold a NUL.
 
-Each 10^s is computed from Python integers the first time a value needs it
-and kept in ``_POW10`` for the life of the process; nothing is computed at
-import.
+The 501 powers 10^s are computed from Python integers on the first call and
+cached, as the digit tables are; nothing is computed at import.
 """
 from __future__ import annotations
 
@@ -44,15 +45,7 @@ _NEAR_TIE = 1e-9
 _D_LOW = 10**16 + 10**7
 _D_HIGH = 10**17 - 10**8
 
-# One table column per s = 16 - X, for decimal exponents X in [-324, 308].
-# Beyond |s| = 250, |x| is first scaled by 2^(+-512), exactly, and 10^s
-# stored divided by it, so both factors stay normal and far from overflow.
-_S_MIN, _S_MAX = 16 - 308, 16 + 324
-_S_PRESCALE = 250
-_PRESCALE_BITS = 512
-# rows: hi, lo, the prescale factor
-_POW10 = np.zeros((3, _S_MAX - _S_MIN + 1))
-_POW10_FILLED = np.zeros(_S_MAX - _S_MIN + 1, dtype=bool)
+_S_MAX = 250  # largest |s| = |16 - X| of the power-of-ten table
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
 
 # A float's field, as six little-endian 8-byte words: word 0 holds the sign,
@@ -66,18 +59,16 @@ _NUL = 47  # never written
 _X_MIN = -324  # the tables below have one entry per X from -324 to 308
 
 
-def _fill_pow10(index: np.ndarray) -> None:
-    """Compute the table columns ``index`` (s - _S_MIN) from Python integers."""
-    for j in set(index.tolist()):
-        s = j + _S_MIN
-        e = _PRESCALE_BITS if s > _S_PRESCALE else -_PRESCALE_BITS if s < -_S_PRESCALE else 0
-        # 10^s 2^-e = num / den exactly
-        num = 10**max(s, 0) << max(-e, 0)
-        den = 10**max(-s, 0) << max(e, 0)
+@functools.cache
+def _pow10() -> np.ndarray:
+    """10^s as the pair hi + lo of doubles: rows hi and lo, one column per s from -250 to 250."""
+    table = np.empty((2, 2 * _S_MAX + 1))
+    for j, s in enumerate(range(-_S_MAX, _S_MAX + 1)):
+        num, den = 10**max(s, 0), 10**max(-s, 0)  # 10^s = num / den exactly
         hi = num / den  # int / int rounds correctly
         n, d = hi.as_integer_ratio()
-        _POW10[:, j] = hi, (num * d - n * den) / (den * d), 2.0**e
-        _POW10_FILLED[j] = True
+        table[:, j] = hi, (num * d - n * den) / (den * d)
+    return table
 
 
 def _word(text: bytes) -> int:
@@ -104,7 +95,7 @@ def _tables():
         # the digit after the point's slot: d2 in exponent notation, d_{x+2}
         # in fixed notation with x + 1 whole digits, none for x < 0 or x = 16
         point_next.append(8 + 2 * x if 0 <= x <= 15 else 8 if not fixed else _NUL)
-        # the last whole digit d_{x+1}, which must not be dropped as a zero
+        # the last whole digit d_{x+1}; d1 is never dropped
         last_whole.append(6 + 2 * x if 1 <= x <= 16 else _FIRST_DIGIT)
     head = np.array(heads, dtype=np.uint64)
     return (digits, np.concatenate([head, head | ord("-")]), np.array(tails, dtype=np.uint64),
@@ -119,11 +110,10 @@ def _decimal(x: np.ndarray):
     finite = np.isfinite(x) & (x != 0.0)
     a = np.where(finite, np.abs(x), 1.0)
     X = np.floor(np.log10(a)).astype(np.intp)
-    j = (16 - _S_MIN) - X
-    if not _POW10_FILLED[j].all():
-        _fill_pow10(j[~_POW10_FILLED[j]])
-    hi, lo, scale = (row.take(j) for row in _POW10)
-    a *= scale
+    rare = np.abs(16 - X) > _S_MAX
+    a[rare] = 1.0
+    X[rare] = 0
+    hi, lo = _pow10().take((16 + _S_MAX) - X, axis=1)
     # Dekker: a hi = p + e exactly, from the Veltkamp halves of a and hi
     t = a * _SPLIT
     a_hi = t - (t - a)
@@ -140,7 +130,7 @@ def _decimal(x: np.ndarray):
     whole = np.floor(e)
     e -= whole
     D = p.astype(np.int64) + whole.astype(np.int64)
-    slow = ~finite | (np.abs(e - 0.5) < _NEAR_TIE) | (D < _D_LOW) | (D > _D_HIGH)
+    slow = ~finite | rare | (np.abs(e - 0.5) < _NEAR_TIE) | (D < _D_LOW) | (D > _D_HIGH)
     D += e > 0.5
     D[slow] = 10**16
     return D, X, slow
@@ -226,14 +216,9 @@ def _floats_into(table: np.ndarray, at: int, x: np.ndarray, ends: bytes) -> None
     # a point goes before the digit after it when that digit was not dropped
     after = base + point_next[X]
     flat[after[flat[after] != 0] - 1] = ord(".")
-    # whole numbers: the zeros before the point were dropped with the fraction's
-    bare = np.flatnonzero(flat[base + last_whole[X]] == 0)
-    if bare.size:
-        at_digits = base[bare, None] + np.arange(8, 40, 2)
-        block = flat[at_digits]
-        block[(block == 0) & (np.arange(16) < X[bare, None] + _X_MIN)] = ord("0")
-        flat[at_digits] = block
-    slow = np.flatnonzero(slow)
+    # a whole number whose last whole digit was dropped as a 0 lost its zeros
+    # before the point with the fraction's
+    slow = np.flatnonzero(slow | (flat[base + last_whole[X]] == 0))
     if slow.size:
         texts = [("%.17g" % v).encode() for v in x[slow].tolist()]
         flat[base[slow, None] + np.arange(_SEP)] = np.array(

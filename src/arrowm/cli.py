@@ -14,8 +14,9 @@ file once the runner has returned, so a refused run writes none.  CSV is
 the canonical output (floats at 17 significant digits, so reruns are
 byte-identical).  Its floats are formatted in bulk by
 :mod:`arrowm._csvtext`, byte-identical to Python's ``"%.17g" % x``: the
-scaled value is within about 1e-13 of exact, and ties, near-ties and decade
-boundaries go through Python's ``%``.  SVG line plots are a convenience.
+scaled value is within about 1e-13 of exact, and ties, near-ties, decade
+boundaries and the rare values that module lists go through Python's ``%``.
+SVG line plots are a convenience.
 The summary file is flat ``key = value`` text; its timing entries are the
 only non-reproducible output.
 """
@@ -265,9 +266,12 @@ def build_scenario_state(cfg: dict, grid):
 _FRAME_NU_EDGE = -5.5
 # Largest |mass - 1| of a position frame: too few frames.x_points miss it.
 _POSITION_MASS_TOL = 1e-8
+# Largest excess of a density frame's mass over the state's, relative to the
+# latter: a frame covers part of the spectrum, so a coarse grid or frame shows.
+_FRAME_EXCESS_TOL = 1e-4
 
 
-def eigen_density_frame(state, points: int):
+def eigen_density_frame(state, points: int, t: float = math.nan):
     """(nu, m, rho, covered_mass, mass, first_moment, mass_below_edge) of one frame.
 
     The frame is the density on a frequency-uniform m grid.  Its
@@ -278,6 +282,9 @@ def eigen_density_frame(state, points: int):
     first_moment / mass is the state's expectation of M.
     ``mass_below_edge`` is the lattice weight at nu < -5.5 over ``mass``:
     the share of the state that lies beyond the frame's m = 1 end.
+
+    Raises ValueError where covered_mass exceeds mass by more than 1e-4 mass,
+    as at grid.n = 64 or 17 points; the error names t, the state's time.
     """
     spec = forward_mellin(state)
     weight = spectral_weight(spec)
@@ -289,6 +296,10 @@ def eigen_density_frame(state, points: int):
     m = eigenvalue_of_frequency(nu)
     covered = float(np.trapezoid(np.sum(rho, axis=0) * frequency_jacobian(m), nu))
     mass, first = _spectrum_moments(spec)
+    if not covered - mass <= _FRAME_EXCESS_TOL * mass:
+        raise ValueError(f"the density frame at t = {t:g} holds mass {covered:.12g}, more than "
+                         f"the state's {mass:.12g}: frames.density_points = {points} or "
+                         f"grid.n = {state.grid.n} is too few")
     below = float(np.sum(weight[spec.frequencies < _FRAME_NU_EDGE]) / mass)
     return nu, m, rho, covered, mass, first, below
 
@@ -410,7 +421,7 @@ def run_eigden(cfg: dict):
     t = cfg["density.time"]
     t0 = time.perf_counter()
     nu, m, rho, covered, mass, first, below = eigen_density_frame(
-        evolve(state, t), points=cfg["frames.density_points"])
+        evolve(state, t), cfg["frames.density_points"], t)
     t1 = time.perf_counter()
     return {
         "time": t,
@@ -438,7 +449,7 @@ def run_fig2(cfg: dict):
     for k, t in enumerate(frame_times):
         x, dens, mass_x, var_x = _position_frame(params, t, cfg["frames.x_points"])
         nu, m, rho, covered, mass, first, below = eigen_density_frame(
-            evolve(state, t), points=cfg["frames.density_points"])
+            evolve(state, t), cfg["frames.density_points"], t)
         outputs += [(f"position_density_{k:02d}", ("coordinate", "density"), (x, dens),
                      (x, {"density": dens}, f"|psi(x, t)|^2 at t = {t:g}", "x", "density")),
                     _density_frame_output(f"eigen_density_{k:02d}", t, nu, m, rho)]

@@ -260,11 +260,12 @@ def test_write_csv_memory_is_bounded(tmp_path):
 
 
 def test_power_of_ten_table_is_empty_after_import():
-    # building all 633 entries takes 0.2 s of big-integer arithmetic
+    # the 501 powers of ten take 1 to 2 ms of big-integer arithmetic, and
+    # the digit tables about as long; the first CSV write builds both
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     probe = ("import arrowm.cli, arrowm._csvtext as t; "
-             "print(int(t._POW10_FILLED.sum()), t._tables.cache_info().currsize)")
+             "print(t._pow10.cache_info().currsize, t._tables.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -608,6 +609,9 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     ("fig2", "frames.times = 2, 1e154\n"),
     # too few position points to hold the packet's mass within 1e-8
     ("fig2", "frames.x_points = 9\n"),
+    # density frames holding more mass than the state: too coarse a grid or frame
+    ("eigden", "grid.n = 64\n"),
+    ("fig2", "frames.density_points = 17\n"),
     # a packet whose center p0 t / eta overflows while its spread does not
     ("fig2", "grid.e_min = 1e-170\ngrid.e_max = 1e170\nstate.eta = 1e-160\n"
              "state.p0 = 10\nstate.xi0 = 1\nframes.times = 2e147\n"),
