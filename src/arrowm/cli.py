@@ -1,10 +1,12 @@
 """Scenario runner and artifact emitter for the arrow-m command.
 
-Subcommands: spectrum, evolve, eigden, fig1, fig2, verify.  Scenarios are
-configured through line-based ``key = value`` text files with ``#`` comments
-and dotted keys.  ``KEYS`` gives every key's parser and default, and
-``SUBCOMMANDS`` every subcommand's runner, help line and default overrides;
-``--out`` / ``--path`` override the corresponding config keys.  Values are
+Subcommands: spectrum, evolve, eigden, fig1, fig2, verify; ``evolve`` is
+``fig1``'s orbit for any configured state, by the same :func:`run_trajectory`.
+Scenarios are configured through line-based ``key = value`` text files with
+``#`` comments and dotted keys.  ``KEYS`` gives every key's parser and
+default, and ``SUBCOMMANDS`` every subcommand's runner, help line and default
+overrides; ``--out`` overrides ``output.dir``, and ``--path``, which only
+``evolve`` and ``fig1`` accept, overrides ``path``.  Values are
 checked where they are used: the library's ValueErrors (a bad grid, state or
 time range) become :class:`ScenarioError`, as do MemoryErrors and failures
 to write an output file.  Exit codes: 0 ok, 1 a failed ``verify`` check, 2 a
@@ -26,7 +28,6 @@ import argparse
 import math
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -375,7 +376,7 @@ def _w1_to_multiplier(eigvals: np.ndarray, grid) -> float:
     return float(np.mean(np.abs(eigvals - multiplier)))
 
 
-def run_trajectory_scenario(cfg: dict, name: str):
+def run_trajectory(cfg: dict):
     t0 = time.perf_counter()
     grid = build_scenario_grid(cfg)
     state = build_scenario_state(cfg, grid)
@@ -393,7 +394,7 @@ def run_trajectory_scenario(cfg: dict, name: str):
                np.stack([results[p].values for p in names], axis=1).ravel(),
                names * times.size)
     plot = (times, {p: results[p].values for p in names},
-            f"{name}: expectation along the orbit", "t", "<M>(t)")
+            "expectation along the orbit", "t", "<M>(t)")
 
     summary = {
         "path": cfg["path"],
@@ -595,11 +596,9 @@ SUBCOMMANDS = {
     "spectrum": (run_spectrum, "dense eigenvalue spectrum of the operator",
                  {"grid.e_min": 1e-3, "grid.e_max": 1e3, "grid.n": 512,
                   "operator.quadrature": "subtraction"}),
-    "evolve": (partial(run_trajectory_scenario, name="evolve"),
-               "expectation trajectory for a configured state", {}),
+    "evolve": (run_trajectory, "fig1's orbit for any configured state", {}),
     "eigden": (run_eigden, "eigenvalue density of a configured state", {}),
-    "fig1": (partial(run_trajectory_scenario, name="fig1"),
-             "free-packet monotone expectation decay scenario", {}),
+    "fig1": (run_trajectory, "free-packet monotone expectation decay scenario", {}),
     "fig2": (run_fig2, "free-packet position/eigenvalue density frames", {}),
     "verify": (run_verify, "run the invariant suite; exit 1 on failure", {}),
 }
@@ -639,17 +638,18 @@ def main(argv=None) -> int:
                     "eigenvalue densities, wave-packet frames, invariant checks.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, blurb, _) in SUBCOMMANDS.items():
+    for name, (runner, blurb, _) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="key = value scenario configuration file")
         p.add_argument("--out", help="output directory (overrides output.dir)")
-        p.add_argument("--path", choices=_PATH_CHOICES,
-                       help="operator application path (overrides path)")
+        if runner is run_trajectory:
+            p.add_argument("--path", choices=_PATH_CHOICES,
+                           help="operator application path (overrides path)")
     args = parser.parse_args(argv)
     overrides = {}
     if args.out is not None:
         overrides["output.dir"] = args.out
-    if args.path is not None:
+    if getattr(args, "path", None) is not None:
         overrides["path"] = args.path
     try:
         cfg = load_config(args.subcommand, args.config, overrides)

@@ -154,8 +154,6 @@ def to_energy_state(params: GaussianPacketParams, grid: LogEnergyGrid) -> Energy
             f"packet factor (eta / 2E)^(1/4) overflows at e_min = {grid.e_min:g} "
             f"with eta = {params.eta:g}; raise e_min"
         )
-    amps = np.stack(
-        [jac_quarter * momentum_wavefunction(params, p),
-         jac_quarter * momentum_wavefunction(params, -p)]
-    ).astype(complex)
+    amps = np.stack([jac_quarter * momentum_wavefunction(params, p),
+                     jac_quarter * momentum_wavefunction(params, -p)])
     return make_state(grid, CHANNELS, amps)

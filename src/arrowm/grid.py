@@ -137,15 +137,13 @@ class EnergyState:
 def make_state(grid: LogEnergyGrid, channels, amplitudes) -> EnergyState:
     """Wrap per-channel amplitude samples into an immutable state."""
     channels = tuple(channels)
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.ndim == 1:
-        amps = amps[None, :]
+    amps = np.array(amplitudes, dtype=complex, ndmin=2)
     if amps.shape != (len(channels), grid.n):
         raise ValueError(
             f"amplitudes shape {amps.shape} does not match "
             f"({len(channels)} channels, {grid.n} points)"
         )
-    return EnergyState(grid=grid, channels=channels, amplitudes=_readonly(amps.copy()))
+    return EnergyState(grid=grid, channels=channels, amplitudes=_readonly(amps))
 
 
 def _check_compatible(a: EnergyState, b: EnergyState) -> None:

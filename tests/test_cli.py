@@ -776,6 +776,38 @@ def test_main_cli_overrides(tmp_path):
     assert float(summary["dual_path_max_expectation_diff"]) < 1e-3
 
 
+def test_evolve_and_fig1_write_the_same_files(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("grid.n = 256\ntimes.steps = 21\noutput.svg = true\n")
+    for sub in ("evolve", "fig1"):
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / sub)]) == 0
+    names = sorted(p.name for p in (tmp_path / "fig1").iterdir())
+    assert names == ["summary.txt", "trajectory.csv", "trajectory.svg"]
+    assert names == sorted(p.name for p in (tmp_path / "evolve").iterdir())
+    for name in names[1:]:
+        assert (tmp_path / "evolve" / name).read_bytes() == (tmp_path / "fig1" / name).read_bytes()
+
+    def summary(sub):
+        lines = (tmp_path / sub / "summary.txt").read_text().splitlines()
+        return dict(line.split(" = ", 1) for line in lines)
+
+    evolve_summary, fig1_summary = summary("evolve"), summary("fig1")
+    assert evolve_summary.keys() == fig1_summary.keys()
+    differ = {k for k in fig1_summary if evolve_summary[k] != fig1_summary[k]}
+    assert differ <= {"scenario"} | {k for k in fig1_summary if k.startswith("timing_")}
+    assert (evolve_summary["scenario"], fig1_summary["scenario"]) == ("evolve", "fig1")
+
+
+@pytest.mark.parametrize("sub", ["spectrum", "eigden", "fig2", "verify"])
+def test_path_is_refused_where_no_path_is_read(tmp_path, capsys, sub):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--path", "fast", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--path" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_determinism_fig1_reruns_byte_identical(tmp_path):
     extra = {"grid.n": 512, "times.t_end": 4.0, "times.steps": 10}
     run_scenario("fig1", cfg_for("fig1", tmp_path / "a", extra=extra))

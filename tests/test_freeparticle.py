@@ -2,12 +2,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc, ndtr
 
 from arrowm import (
+    CHANNELS,
     GaussianPacketParams,
     evolve,
     expectation_m,
+    forward_mellin,
     make_log_grid,
     make_state,
     momentum_wavefunction,
@@ -16,11 +20,14 @@ from arrowm import (
     position_density,
     position_spread,
     position_wavefunction,
+    spectral_weight,
     state_norm,
     to_energy_state,
     trajectory,
 )
-from conftest import WIDE_BOUNDS, packet_expectation_reference
+from conftest import (
+    WIDE_BOUNDS, packet_expectation_reference, superposition_expectation_reference,
+)
 
 PARAMS = GaussianPacketParams(eta=1.0, p0=0.64, xi0=0.3)
 FIG_BOUNDS = (5e-15, 50.0)
@@ -263,3 +270,49 @@ def test_reference_expectation_follows_the_long_time_law():
     t, C, D = 1024.0, 0.013419, 18.44
     law = C * t**-0.5 * (1.0 + D / t)
     assert packet_expectation_reference(PARAMS, t) == pytest.approx(law, rel=3.2e-4)
+
+
+@st.composite
+def _packets(draw):
+    xi0 = draw(st.floats(0.25, 0.6))
+    # a = |p0| / xi0^2 <= 16, where the reference's 80-term series holds
+    p0 = draw(st.floats(-1.0, min(1.5, 16.0 * xi0**2)))
+    return GaussianPacketParams(1.0, p0, xi0)
+
+
+def _nyquist_share(state, times):
+    """The largest share of sum |chat|^2 at |nu| >= 3/4 nu_max over the orbit's times."""
+    worst = 0.0
+    for t in times:
+        spec = forward_mellin(evolve(state, t))
+        weight = spectral_weight(spec)
+        band = np.abs(spec.frequencies) >= 0.75 * np.max(np.abs(spec.frequencies))
+        worst = max(worst, float(np.sum(weight[band]) / np.sum(weight)))
+    return worst
+
+
+@settings(max_examples=24, deadline=None, database=None, derandomize=True)
+@given(packets=st.lists(_packets(), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1), n=st.sampled_from((2048, 4096)),
+       times=st.lists(st.sampled_from((0.0, 2.0, 8.0, 32.0)), min_size=2, max_size=4,
+                      unique=True).map(sorted))
+def test_superpositions_of_packets_meet_the_reference(packets, seed, n, times):
+    # both routes read the same grid state, so only an exact value shows an
+    # error they share: aliasing, graded by the Nyquist share.  The wide
+    # window's tails hold about 1e-11; fig1's window is left out, since there
+    # the fast route's 2.9e-6 is the wrap of its circulant, not aliasing
+    grid = make_log_grid(*WIDE_BOUNDS, n)
+    rng = np.random.default_rng(seed)
+    coefficients = (rng.standard_normal(len(packets))
+                    + 1j * rng.standard_normal(len(packets))) / 2**0.5
+    # to_energy_state refuses a packet that fails the tail rule
+    amplitudes = sum(c * to_energy_state(p, grid).amplitudes
+                     for c, p in zip(coefficients, packets))
+    state = make_state(grid, CHANNELS, amplitudes)
+    share = _nyquist_share(state, times)
+    exact = [superposition_expectation_reference(packets, coefficients, t) for t in times]
+    for path in ("fast", "direct"):
+        error = float(np.max(np.abs(trajectory(state, times, path=path).values - exact)))
+        assert error <= 0.5 * share + 1e-10, (path, share, error)
+        if share < 1e-9:
+            assert error <= 1e-10, (path, share, error)
